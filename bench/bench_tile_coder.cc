@@ -14,9 +14,12 @@
  * and MB/s (pixel bytes per second), and with `--json <path>` emits
  * BENCH_tile_coder.json for ci/perf_gate.py.
  *
+ * Every row measures the progressive (EPC4) format, the one the
+ * encoder emits, at the default `TileCoderParams`.
+ *
  * With `--latency` the binary instead measures single-tile encode and
  * decode latency (p50/p99 wall-ms) for dense 256x256 and 1024x1024
- * tiles under the chunked (EPC3) coder at 1/2/4/hw pool threads —
+ * tiles under the chunked coder at 1/2/4/hw pool threads —
  * the metric the sub-tile chunk parallelism exists to improve. Rows
  * are named tile_latency_{encode,decode}/dense{edge}/t{n} and the
  * JSON bench name is "tile_latency" (gated by ci/perf_gate.py on
@@ -191,7 +194,6 @@ runLatencyMode(int samplesSmall, const std::string &jsonPath)
         raster::Plane tile =
             denseTile(edge, edge, 400 + static_cast<uint64_t>(edge));
         TileCoderParams params;
-        params.chunkRows = kDefaultChunkRows;
         const int layers = 2;
         size_t budget = static_cast<size_t>(edge) * edge * 2 / 8;
         auto encoded = encodeTileLayers(tile, params, layers, budget);
@@ -258,7 +260,6 @@ runProgressiveMode(int reps, int edge, const std::string &jsonPath)
     ep.bitsPerPixel = 2.0;
     ep.layers = 3;
     ep.tileSize = edge;
-    ep.progressive = true;
     std::vector<uint8_t> stream = codec::encode(img, ep).serialize();
     size_t floor = codec::streamHeaderFloor(stream);
 

@@ -51,21 +51,19 @@ codecMetrics()
 
 // "EPC2": bumped from EPC1 when layer chunks gained per-tile length
 // framing, so streams from the old format are rejected instead of
-// decoding as garbage. Still accepted for decode (chunkRows == 0).
+// decoding as garbage. Decode-only (chunkRows == 0).
 constexpr uint32_t kMagicV1 = 0x32435045;
 
 // "EPC3": adds the chunkRows header field and frames each tile's
 // per-layer sub-chunk into length-prefixed row-slab entropy chunks
-// (the sub-tile parallelism format). Emitted when chunkRows > 0 and
-// progressive framing is off.
+// (the sub-tile parallelism format). Decode-only.
 constexpr uint32_t kMagicV2 = 0x33435045;
 
 // "EPC4": same header layout as EPC3, but each chunk-layer payload is
 // a sequence of independently flushed per-plane segments (plus a raw
 // maxPlane byte in layer 0) whose inline framing records truncation
 // points — the stream decodes best-effort from any prefix cut at a
-// recorded point. Emitted when chunkRows > 0 and progressive framing
-// is on.
+// recorded point. The one format encode() emits.
 constexpr uint32_t kMagicV3 = 0x34435045;
 
 /** Fixed serialized header size in bytes (v2 adds 4 for chunkRows). */
@@ -726,7 +724,10 @@ encode(const raster::Plane &img, const EncodeParams &params)
 {
     telemetry::TraceSpan encodeSpan("codec.encode", "codec");
     EP_ASSERT(params.layers >= 1, "need at least one quality layer");
-    EP_ASSERT(params.chunkRows >= 0, "negative chunk height");
+    EP_ASSERT(params.chunkRows > 0,
+              "chunk height %d: the encoder emits only chunked EPC4 "
+              "streams",
+              params.chunkRows);
     EP_ASSERT(params.bitsPerPixel > 0.0 || params.lossless,
               "non-positive bit budget");
     EP_ASSERT(!params.lossless || params.wavelet == Wavelet::LeGall53,
@@ -752,9 +753,7 @@ encode(const raster::Plane &img, const EncodeParams &params)
     out.losslessDepth = params.losslessDepth;
     out.quantStep = params.quantStep;
     out.chunkRows = params.chunkRows;
-    // Progressive framing needs the chunked container; chunkRows == 0
-    // keeps emitting the legacy v1 format.
-    out.progressive = params.progressive && params.chunkRows > 0;
+    out.progressive = true;
     out.tileCoded.assign(static_cast<size_t>(grid.tileCount()), 0);
 
     TileCoderParams tp;
@@ -764,7 +763,6 @@ encode(const raster::Plane &img, const EncodeParams &params)
     tp.losslessDepth = params.losslessDepth;
     tp.quantStep = params.quantStep;
     tp.chunkRows = params.chunkRows;
-    tp.progressive = out.progressive;
 
     std::vector<int> codedTiles;
     for (int t = 0; t < grid.tileCount(); ++t) {
@@ -896,8 +894,7 @@ encode(const raster::Plane &img, const EncodeParams &params)
                     perChunk.push_back(task->get());
                 }
             }
-            appendTile(assembleChunkLayers(std::move(perChunk), layers,
-                                           tp.chunkRows > 0));
+            appendTile(assembleChunkLayers(perChunk, layers));
             window.pop_front();
             topUp();
         }

@@ -64,20 +64,13 @@ struct EncodeParams
     int layers = 1;
     /**
      * Rows per entropy chunk inside each tile (see
-     * TileCoderParams::chunkRows). 0 selects the legacy v1 format
-     * with one unframed entropy stream per tile.
-     */
-    int chunkRows = kDefaultChunkRows;
-    /**
-     * Emit the progressive v3 (EPC4) stream format, whose inline
+     * TileCoderParams::chunkRows); must be > 0. Streams are always
+     * emitted in the progressive v3 (EPC4) format, whose inline
      * segment framing records truncation points so the stream can be
      * cut to any byte budget after encoding (truncateStream()) and
-     * still decode best-effort. Requires chunkRows > 0 (chunkRows ==
-     * 0 keeps the v1 format regardless). The default: new streams
-     * are truncatable. Set false for byte-compatible v2 (EPC3)
-     * output.
+     * still decode best-effort.
      */
-    bool progressive = true;
+    int chunkRows = kDefaultChunkRows;
 };
 
 /**
@@ -96,14 +89,15 @@ struct EncodedImage
     int losslessDepth = 8;
     double quantStep = 1.0 / 512.0;
     /**
-     * Entropy chunk height in rows: 0 for v1 (EPC2) streams, > 0 for
-     * v2 (EPC3) streams whose per-tile sub-chunks are internally
-     * framed into row-slab entropy chunks.
+     * Entropy chunk height in rows: 0 for decode-only v1 (EPC2)
+     * streams, > 0 for v2 (EPC3) and v3 (EPC4) streams whose per-tile
+     * sub-chunks are internally framed into row-slab entropy chunks.
      */
     int chunkRows = 0;
     /**
-     * True for v3 (EPC4) streams: chunk payloads carry the segment
-     * framing that records truncation points (see forEachSegment()).
+     * True for v3 (EPC4) streams, the format encode() emits: chunk
+     * payloads carry the segment framing that records truncation
+     * points (see forEachSegment()). False for parsed v1/v2 streams.
      */
     bool progressive = false;
     /**
@@ -141,7 +135,11 @@ struct EncodedImage
     /** Fraction of tiles that were coded. */
     double codedTileFraction() const;
 
-    /** Serialize to a self-describing byte stream. */
+    /**
+     * Serialize to a self-describing byte stream. The magic follows
+     * the fields, so a parsed v1/v2 image re-serializes in its own
+     * format.
+     */
     std::vector<uint8_t> serialize() const;
 
     /** Parse a stream produced by serialize(); fatal() on corruption. */
@@ -208,11 +206,11 @@ std::vector<uint8_t> truncateStream(const std::vector<uint8_t> &bytes,
                                     size_t budget);
 
 /**
- * Encode one plane.
+ * Encode one plane into a progressive (EPC4) stream.
  *
  * @param img Pixel data in [0, 1].
  * @param params Encoding configuration; params.roi, when set, must match
- *               the plane's tile grid.
+ *               the plane's tile grid. Panics when chunkRows <= 0.
  */
 EncodedImage encode(const raster::Plane &img, const EncodeParams &params);
 

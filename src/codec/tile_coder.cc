@@ -11,6 +11,36 @@
 
 namespace earthplus::codec {
 
+/**
+ * Progressive-encode tee: the real per-segment coder and the
+ * EPC3-accounting shadow consume the identical (probability, bit)
+ * sequence while the shared context model updates exactly once, so
+ * the shadow's byte count reproduces the EPC3 coder's rate decisions
+ * exactly and the real stream stays decodable under the same model
+ * evolution.
+ */
+struct DualEncoder
+{
+    RangeEncoder &real;
+    RangeEncoder &shadow;
+
+    void
+    encodeBit(BitModel &model, int bit)
+    {
+        uint16_t p = model.prob();
+        real.encodeBitProb(p, bit);
+        shadow.encodeBitProb(p, bit);
+        model.update(static_cast<uint32_t>(bit != 0));
+    }
+
+    void
+    encodeBitRaw(int bit)
+    {
+        real.encodeBitRaw(bit);
+        shadow.encodeBitRaw(bit);
+    }
+};
+
 namespace {
 
 /** Highest usable magnitude bitplane (5-bit header limit). */
@@ -29,6 +59,19 @@ lastWordMask(int width)
 {
     int used = width % 64;
     return used == 0 ? ~0ull : ~0ull >> (64 - used);
+}
+
+/**
+ * The encoder emits only chunked progressive (EPC4) streams; the v1
+ * and v2 layouts the params can also describe are decode-only.
+ */
+void
+requireEmittable(const TileCoderParams &params)
+{
+    EP_ASSERT(params.progressive && params.chunkRows > 0,
+              "the encoder emits only chunked progressive (EPC4) "
+              "streams (chunkRows %d, progressive %d)",
+              params.chunkRows, params.progressive ? 1 : 0);
 }
 
 /** First row of chunk `chunk` on the params' slab grid. */
@@ -191,10 +234,9 @@ runSigScan(const ScanGrid &g, Coder &&coder)
 }
 
 /** Encoder-side scan actions: bits come from the plane-bit mask. */
-template <typename Encoder>
 struct EncoderScan
 {
-    Encoder &enc;
+    DualEncoder &enc;
     const uint64_t *planeBits;
     int words;
     const uint8_t *sign;
@@ -209,36 +251,6 @@ struct EncoderScan
     }
 
     void significant(size_t i) { enc.encodeBitRaw(sign[i]); }
-};
-
-/**
- * Progressive-encode tee: the real per-segment coder and the
- * EPC3-accounting shadow consume the identical (probability, bit)
- * sequence while the shared context model updates exactly once, so
- * the shadow's byte count reproduces the EPC3 coder's rate decisions
- * exactly and the real stream stays decodable under the same model
- * evolution.
- */
-struct DualEncoder
-{
-    RangeEncoder &real;
-    RangeEncoder &shadow;
-
-    void
-    encodeBit(BitModel &model, int bit)
-    {
-        uint16_t p = model.prob();
-        real.encodeBitProb(p, bit);
-        shadow.encodeBitProb(p, bit);
-        model.update(static_cast<uint32_t>(bit != 0));
-    }
-
-    void
-    encodeBitRaw(int bit)
-    {
-        real.encodeBitRaw(bit);
-        shadow.encodeBitRaw(bit);
-    }
 };
 
 /** Decoder-side scan actions: bits come from the stream. */
@@ -384,20 +396,17 @@ TileEncoder::beginPlane(int plane)
                            static_cast<size_t>(y) * wordsPerRow_);
 }
 
-template <typename Encoder>
 void
-TileEncoder::encodeSigPass(Encoder &enc)
+TileEncoder::encodeSigPass(DualEncoder &enc)
 {
     runSigScan<false>(
         ScanGrid{width_, height_, wordsPerRow_, sigBits_.data(),
                  visitedBits_.data(), dilation_.data(), orient_, &ctx_},
-        EncoderScan<Encoder>{enc, planeBits_.data(), wordsPerRow_,
-                             sign_});
+        EncoderScan{enc, planeBits_.data(), wordsPerRow_, sign_});
 }
 
-template <typename Encoder>
 void
-TileEncoder::encodeRefinePass(Encoder &enc)
+TileEncoder::encodeRefinePass(DualEncoder &enc)
 {
     const size_t nWords = refinableBits_.size();
     for (size_t w = 0; w < nWords; ++w) {
@@ -412,20 +421,17 @@ TileEncoder::encodeRefinePass(Encoder &enc)
     }
 }
 
-template <typename Encoder>
 void
-TileEncoder::encodeCleanupPass(Encoder &enc)
+TileEncoder::encodeCleanupPass(DualEncoder &enc)
 {
     runSigScan<true>(
         ScanGrid{width_, height_, wordsPerRow_, sigBits_.data(),
                  visitedBits_.data(), dilation_.data(), orient_, &ctx_},
-        EncoderScan<Encoder>{enc, planeBits_.data(), wordsPerRow_,
-                             sign_});
+        EncoderScan{enc, planeBits_.data(), wordsPerRow_, sign_});
 }
 
-template <typename Encoder>
 void
-TileEncoder::encodePass(Encoder &enc, int plane, int pass)
+TileEncoder::encodePass(DualEncoder &enc, int plane, int pass)
 {
     if (pass == 0) {
         beginPlane(plane);
@@ -438,47 +444,18 @@ TileEncoder::encodePass(Encoder &enc, int plane, int pass)
 }
 
 int
-TileEncoder::encodePlanes(RangeEncoder &enc, size_t byteLimit,
-                          int maxPlanes)
-{
-    EP_ASSERT(headerDone_, "encodePlanes before encodeHeader");
-    if (done())
-        return 0;
-    int planesThisCall = 0;
-    // Every pass is preceded by a continue bit so the decoder needs no
-    // side information about where the budget ran out. Once the final
-    // pass of plane 0 is emitted no terminator is needed: the decoder
-    // stops by itself when nextPlane_ goes negative.
-    while (nextPlane_ >= 0 && planesThisCall < maxPlanes &&
-           enc.bytesWritten() < byteLimit) {
-        enc.encodeBitRaw(1);
-        encodePass(enc, nextPlane_, nextPass_);
-        ++nextPass_;
-        if (nextPass_ == 3) {
-            nextPass_ = 0;
-            --nextPlane_;
-            ++planesCoded_;
-            ++planesThisCall;
-        }
-    }
-    if (nextPlane_ >= 0)
-        enc.encodeBitRaw(0);
-    return planesThisCall;
-}
-
-int
 TileEncoder::encodePlanesSegmented(std::vector<uint8_t> &payload,
                                    RangeEncoder &shadow,
                                    size_t shadowByteLimit, int maxPlanes)
 {
-    EP_ASSERT(headerDone_, "encodePlanes before encodeHeader");
+    EP_ASSERT(headerDone_, "encodePlanesSegmented before encodeHeader");
     if (done())
         return 0;
     int planesThisCall = 0;
     std::vector<uint8_t> seg;
     // The loop conditions — checked before every pass — are exactly
-    // the EPC3 encodePlanes() conditions, evaluated against the
-    // shadow coder, so a segment break never changes which passes are
+    // the EPC3 coder's conditions, evaluated against the shadow
+    // coder, so a segment break never changes which passes are
     // emitted; it only changes how the real bits are framed. Each
     // segment holds the consecutive passes of one plane coded within
     // this layer (the first segment of a layer may resume mid-plane).
@@ -715,8 +692,7 @@ encodeTileChunk(const TileCoefficients &coeffs,
                 size_t tileByteBudget)
 {
     EP_ASSERT(layers >= 1, "need at least one quality layer");
-    EP_ASSERT(!params.progressive || params.chunkRows > 0,
-              "progressive (EPC4) streams require chunked framing");
+    requireEmittable(params);
     EP_ASSERT(chunk >= 0 && chunk < chunkCount(params, coeffs.height),
               "chunk %d out of range", chunk);
     const int row0 = chunkRow0(params, coeffs.height, chunk);
@@ -750,54 +726,34 @@ encodeTileChunk(const TileCoefficients &coeffs,
             int total = coder.maxPlane() + 1;
             maxPlanes = (total + layers - 1) / layers;
         }
-        if (params.progressive) {
-            // EPC4: real bits go into per-plane segments in `stream`;
-            // the shadow coder replays the EPC3 layer stream (header,
-            // continue and pass bits) purely for rate accounting, so
-            // `spent` evolves exactly as it would for EPC3 and the
-            // pass schedule is identical.
-            shadowBuf.clear();
-            RangeEncoder shadow(shadowBuf);
-            if (layer == 0) {
-                coder.encodeHeader(shadow);
-                stream.push_back(
-                    static_cast<uint8_t>(coder.maxPlane() + 1));
-            }
-            coder.encodePlanesSegmented(
-                stream, shadow, shadow.bytesWritten() + remaining,
-                maxPlanes);
-            shadow.flush();
-            spent += shadowBuf.size();
-            continue;
+        // Real bits go into per-plane segments in `stream`; the
+        // shadow coder replays the EPC3 layer stream (header, continue
+        // and pass bits) purely for rate accounting, so `spent`
+        // evolves exactly as it would for EPC3 and the pass schedule
+        // is identical.
+        shadowBuf.clear();
+        RangeEncoder shadow(shadowBuf);
+        if (layer == 0) {
+            coder.encodeHeader(shadow);
+            stream.push_back(static_cast<uint8_t>(coder.maxPlane() + 1));
         }
-        RangeEncoder enc(stream);
-        if (layer == 0)
-            coder.encodeHeader(enc);
-        coder.encodePlanes(enc, enc.bytesWritten() + remaining,
-                           maxPlanes);
-        enc.flush();
-        spent += stream.size();
+        coder.encodePlanesSegmented(
+            stream, shadow, shadow.bytesWritten() + remaining, maxPlanes);
+        shadow.flush();
+        spent += shadowBuf.size();
     }
     return out;
 }
 
 std::vector<std::vector<uint8_t>>
-assembleChunkLayers(std::vector<std::vector<std::vector<uint8_t>>> perChunk,
-                    int layers, bool framed)
+assembleChunkLayers(
+    const std::vector<std::vector<std::vector<uint8_t>>> &perChunk,
+    int layers)
 {
     std::vector<std::vector<uint8_t>> out(static_cast<size_t>(layers));
-    if (!framed) {
-        EP_ASSERT(perChunk.size() == 1,
-                  "unframed (v1) streams hold exactly one chunk, not %zu",
-                  perChunk.size());
-        for (int l = 0; l < layers; ++l)
-            out[static_cast<size_t>(l)] =
-                std::move(perChunk[0][static_cast<size_t>(l)]);
-        return out;
-    }
     for (int l = 0; l < layers; ++l) {
         std::vector<uint8_t> &layer = out[static_cast<size_t>(l)];
-        for (auto &chunk : perChunk) {
+        for (const auto &chunk : perChunk) {
             const std::vector<uint8_t> &stream =
                 chunk[static_cast<size_t>(l)];
             util::appendPod(layer,
@@ -813,10 +769,8 @@ encodeTileLayers(const raster::Plane &tile, const TileCoderParams &params,
                  int layers, size_t byteBudget)
 {
     EP_ASSERT(layers >= 1, "need at least one quality layer");
+    requireEmittable(params);
     TileCoefficients coeffs = transformTile(tile, params);
-    if (params.chunkRows <= 0)
-        return encodeTileChunk(coeffs, params, 0, layers, byteBudget);
-
     const int chunks = chunkCount(params, coeffs.height);
     std::vector<std::vector<std::vector<uint8_t>>> perChunk(
         static_cast<size_t>(chunks));
@@ -827,7 +781,7 @@ encodeTileLayers(const raster::Plane &tile, const TileCoderParams &params,
                 coeffs, params, static_cast<int>(c), layers, byteBudget);
         },
         1);
-    return assembleChunkLayers(std::move(perChunk), layers, true);
+    return assembleChunkLayers(perChunk, layers);
 }
 
 raster::Plane

@@ -24,14 +24,19 @@
  * neighbor — so encoded streams are byte-identical to the original
  * per-pixel coder; `tests/golden_stream_test.cc` pins that.
  *
- * Sub-tile parallelism: when `TileCoderParams::chunkRows > 0` the tile
- * is partitioned into full-width row slabs ("chunks"), each coded by
+ * Sub-tile parallelism: the tile is partitioned into full-width row
+ * slabs ("chunks") of `TileCoderParams::chunkRows` rows, each coded by
  * an independent TileEncoder/TileDecoder pair — own range coder, own
  * context set, own significance state. Chunks are embarrassingly
  * parallel and the per-layer stream frames them in fixed chunk order
  * with u32 length prefixes, so the bytes are identical at every thread
- * count. `chunkRows == 0` keeps the original single unframed stream
- * (the v1 / EPC2 wire format) byte-for-byte.
+ * count.
+ *
+ * The encoder emits one format: progressive (EPC4) chunk payloads of
+ * independently flushed per-plane segments. The decoder also reads two
+ * decode-only layouts, which the encoder rejects: `chunkRows == 0`
+ * describes the single unframed stream of v1 (EPC2), and
+ * `progressive == false` the continue-bit layer streams of v2 (EPC3).
  */
 
 #ifndef EARTHPLUS_CODEC_TILE_CODER_HH
@@ -49,7 +54,7 @@
 namespace earthplus::codec {
 
 /**
- * Default chunk height for chunked (v2) encoding. Chosen so the
+ * Default chunk height for chunked encoding. Chosen so the
  * default 64-px tile grid stays single-chunk (framing adds only the
  * one length prefix per layer) while an oversized 1024×1024 tile
  * splits into 8 independently codable slabs — enough to keep four
@@ -76,25 +81,25 @@ struct TileCoderParams
     /** Deadzone quantizer step for the lossy path. */
     double quantStep = 1.0 / 512.0;
     /**
-     * Rows per entropy chunk. 0 (the default) selects the legacy
-     * single unframed entropy stream — the v1 wire format. Any
-     * positive value selects the framed chunked format (v2), even
-     * when the tile fits in one chunk, so a stream's framing is
-     * decided by the params alone, never by the tile size.
+     * Rows per entropy chunk. Any positive value selects the framed
+     * chunked layout, even when the tile fits in one chunk, so a
+     * stream's framing is decided by the params alone, never by the
+     * tile size. 0 describes the decode-only v1 (EPC2) layout — one
+     * unframed entropy stream per tile — which the encoder rejects.
      */
-    int chunkRows = 0;
+    int chunkRows = kDefaultChunkRows;
     /**
-     * Progressive (EPC4) entropy framing. Requires chunkRows > 0.
-     * Each chunk-layer payload becomes a sequence of independently
+     * Progressive (EPC4) entropy framing, the one format the encoder
+     * emits. Each chunk-layer payload is a sequence of independently
      * flushed per-plane segments (see forEachSegment()) so any
      * segment boundary is a recorded truncation point; the pass
      * schedule — which planes land in which layer — is decided by a
      * shadow coder fed the exact EPC3 bit sequence, so the decoded
      * pixels of a full-length EPC4 stream are bit-exact with the
-     * EPC3 decode of the same input. False keeps the v1/v2 formats
-     * byte-identical.
+     * EPC3 decode of the same input. False describes decode-only v2
+     * (EPC3) streams.
      */
-    bool progressive = false;
+    bool progressive = true;
 };
 
 /** Number of entropy chunks a `height`-row tile codes into. */
@@ -147,15 +152,17 @@ struct TileCoefficients
 TileCoefficients transformTile(const raster::Plane &tile,
                                const TileCoderParams &params);
 
+/** Real + shadow coder pair the EPC4 passes code through. */
+struct DualEncoder;
+
 /**
  * Encoder for one entropy chunk (a row slab) of a transformed tile.
  *
  * Usage: construct over `[row0, row0 + rows)` of the coefficients
  * (borrowed — the TileCoefficients must outlive the encoder), call
- * encodeHeader() once, then call encodePlanes() one or more times
- * (once per quality layer) until done() or the byte budget runs out.
- * A single chunk spanning the whole tile reproduces the original
- * whole-tile coder bit for bit.
+ * encodeHeader() once on layer 0's shadow coder, then call
+ * encodePlanesSegmented() one or more times (once per quality layer)
+ * until done() or the byte budget runs out.
  */
 class TileEncoder
 {
@@ -169,29 +176,22 @@ class TileEncoder
     TileEncoder(const TileCoefficients &coeffs, int row0, int rows,
                 const TileCoderParams &params);
 
-    /** Emit the chunk header (max magnitude bitplane of the slab). */
+    /**
+     * Emit the EPC3 chunk header (max magnitude bitplane of the slab)
+     * into the layer-0 shadow coder, for rate accounting.
+     */
     void encodeHeader(RangeEncoder &enc);
 
     /**
-     * Encode remaining bitplanes into `enc` until either all planes are
-     * coded, `maxPlanes` planes have been coded by this call, or the
-     * encoder's bytesWritten() reaches `byteLimit`.
-     *
-     * The number of planes produced is coded into the stream itself, so
-     * the decoder needs no side information.
-     *
-     * @return Number of planes coded by this call.
-     */
-    int encodePlanes(RangeEncoder &enc, size_t byteLimit, int maxPlanes);
-
-    /**
-     * Progressive (EPC4) variant of encodePlanes(): emit the same
-     * passes the EPC3 coder would, but framed into independently
-     * flushed per-plane segments appended to `payload` (see
-     * forEachSegment() for the framing). All rate decisions are made
-     * against `shadow`, which receives the exact EPC3 bit sequence —
-     * header bits, continue bits, pass bits — so the pass schedule,
-     * and therefore the fully decoded pixels, match EPC3 bit for bit.
+     * Encode remaining bitplanes until either all planes are coded,
+     * `maxPlanes` planes have been coded by this call, or the shadow
+     * coder reaches `shadowByteLimit`. The passes the EPC3 coder would
+     * emit are framed into independently flushed per-plane segments
+     * appended to `payload` (see forEachSegment() for the framing).
+     * All rate decisions are made against `shadow`, which receives
+     * the exact EPC3 bit sequence — header bits, continue bits, pass
+     * bits — so the pass schedule, and therefore the fully decoded
+     * pixels, match EPC3 bit for bit.
      * The caller owns the shadow's per-layer lifecycle (construct,
      * encodeHeader() on layer 0, flush, account its size as spent).
      *
@@ -237,15 +237,11 @@ class TileEncoder
     int planesCoded_;
     bool headerDone_;
 
-    /// The pass bodies are templated on the encoder so the EPC4 path
-    /// can tee bits through a real+shadow pair (see DualEncoder in
-    /// tile_coder.cc) while EPC3 keeps the plain RangeEncoder.
-    template <typename Encoder>
-    void encodePass(Encoder &enc, int plane, int pass);
+    void encodePass(DualEncoder &enc, int plane, int pass);
     void beginPlane(int plane);
-    template <typename Encoder> void encodeSigPass(Encoder &enc);
-    template <typename Encoder> void encodeRefinePass(Encoder &enc);
-    template <typename Encoder> void encodeCleanupPass(Encoder &enc);
+    void encodeSigPass(DualEncoder &enc);
+    void encodeRefinePass(DualEncoder &enc);
+    void encodeCleanupPass(DualEncoder &enc);
 };
 
 /**
@@ -286,7 +282,10 @@ class TileDecoder
      */
     void decodeHeaderRaw(uint32_t maxPlanePlus1);
 
-    /** Decode the next group of bitplanes (one encodePlanes() call). */
+    /**
+     * Decode the next group of bitplanes from a v1/v2 layer stream,
+     * where a continue bit precedes every pass.
+     */
     void decodePlanes(RangeDecoder &dec);
 
     /**
@@ -394,7 +393,9 @@ forEachSegment(const uint8_t *data, size_t size, Fn &&fn)
  * assembled from these in fixed chunk order (assembleChunkLayers).
  *
  * @param coeffs Transformed tile.
- * @param params Coder configuration; chunkRows fixes the slab grid.
+ * @param params Coder configuration; chunkRows (> 0) fixes the slab
+ *        grid. Panics on the decode-only layouts (chunkRows == 0 or
+ *        progressive == false).
  * @param chunk Chunk index in [0, chunkCount(params, coeffs.height)).
  * @param layers Number of SNR-progressive layers (>= 1).
  * @param tileByteBudget Whole-tile entropy byte budget across all
@@ -409,24 +410,24 @@ encodeTileChunk(const TileCoefficients &coeffs,
 
 /**
  * Assemble per-chunk per-layer streams (perChunk[chunk][layer]) into
- * the tile's per-layer sub-chunks. `framed` (the v2 format) prefixes
- * every chunk stream with its u32 byte length, in chunk order;
- * unframed (v1) requires exactly one chunk and passes its streams
- * through untouched.
+ * the tile's per-layer sub-chunks, prefixing every chunk stream with
+ * its u32 byte length, in chunk order.
  */
 std::vector<std::vector<uint8_t>>
-assembleChunkLayers(std::vector<std::vector<std::vector<uint8_t>>> perChunk,
-                    int layers, bool framed);
+assembleChunkLayers(
+    const std::vector<std::vector<std::vector<uint8_t>>> &perChunk,
+    int layers);
 
 /**
  * Encode one tile completely, as a single self-contained job.
  *
  * Runs the DWT + quantization and codes all `layers` quality layers
- * into private sub-chunks (one per layer, framed per
- * params.chunkRows). The output depends only on the tile pixels and
- * the parameters — chunks fan out across the global pool when it has
- * idle lanes, and the fixed assembly order makes the bytes identical
- * at every thread count.
+ * into private EPC4 sub-chunks (one per layer, framed per
+ * params.chunkRows; panics on the decode-only layouts, as
+ * encodeTileChunk() does). The output depends only on the tile pixels
+ * and the parameters — chunks fan out across the global pool when it
+ * has idle lanes, and the fixed assembly order makes the bytes
+ * identical at every thread count.
  *
  * @param tile Pixel data, values in [0, 1].
  * @param params Coder configuration.

@@ -64,21 +64,6 @@ std::vector<std::vector<uint8_t>>
 packetize(uint32_t streamId, const std::vector<uint8_t> &payload,
           size_t payloadBytesPerPacket);
 
-/**
- * Frame a payload into packets whose total wire size — packet headers
- * included — fits `byteBudget`. A payload too large for the budget
- * must be a progressive (EPC4) stream: it is cut with
- * codec::truncateStream() to the largest recorded truncation point
- * whose packetized wire size fits, so a short contact carries a
- * lower-fidelity capture instead of failing the transfer. fatal()
- * when the budget cannot fit even the stream's header floor, or when
- * an oversized payload is not progressive.
- */
-std::vector<std::vector<uint8_t>>
-packetizeToBudget(uint32_t streamId,
-                  const std::vector<uint8_t> &payload,
-                  size_t payloadBytesPerPacket, size_t byteBudget);
-
 /** Why a packet was not accepted. */
 enum class PacketVerdict
 {
@@ -186,16 +171,6 @@ class DownlinkChannel
      * @return The stream id assigned to the transfer.
      */
     uint32_t submit(std::vector<uint8_t> payload);
-
-    /**
-     * Queue a payload for transmission, first cutting it
-     * (packetizeToBudget()) so the whole transfer — headers included
-     * — fits `contactByteBudget` wire bytes: a transfer sized to
-     * complete within one loss-free contact of that budget. Same
-     * preconditions as packetizeToBudget().
-     */
-    uint32_t submit(std::vector<uint8_t> payload,
-                    size_t contactByteBudget);
 
     /** A transfer that completed during a contact. */
     struct Delivery

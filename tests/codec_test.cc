@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <csignal>
 #include <cstring>
 #include <thread>
 
 #include "codec/codec.hh"
 #include "codec/kernels.hh"
+#include "fixtures.hh"
 #include "raster/metrics.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
@@ -283,28 +285,47 @@ TEST(Codec, SerializeRoundTripAcrossModes)
 TEST(CodecDeath, DeserializeRejectsTruncatedStreams)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    raster::Plane img = testImage(128, 128, 21);
-    EncodeParams p;
-    p.bitsPerPixel = 1.0;
-    p.layers = 2;
-    // Non-progressive: a progressive (EPC4) stream cut at a recorded
-    // truncation point parses successfully instead of dying
-    // (tests/progressive_test.cc covers that path).
-    p.progressive = false;
-    std::vector<uint8_t> bytes = encode(img, p).serialize();
+    // Non-progressive (EPC2/EPC3) fixtures: a progressive (EPC4)
+    // stream cut at a recorded truncation point parses successfully
+    // instead of dying (tests/progressive_test.cc covers that path).
+    for (const fixtures::ImageFixture *f :
+         {&fixtures::kEpc2Lossless, &fixtures::kEpc3Archived}) {
+        std::vector<uint8_t> bytes = fixtures::loadStream(*f);
 
-    // Cut inside the fixed header, the tile bitmap region, and the
-    // last layer chunk: each must fail with a clear message, never
-    // read out of bounds.
-    for (size_t cut : {size_t(3), size_t(20), size_t(45),
-                       bytes.size() - 1}) {
-        std::vector<uint8_t> trunc(bytes.begin(),
-                                   bytes.begin() +
-                                       static_cast<ptrdiff_t>(cut));
-        EXPECT_EXIT(EncodedImage::deserialize(trunc),
-                    ::testing::ExitedWithCode(1), "truncated|magic")
-            << "cut at " << cut;
+        // Cut inside the fixed header, the tile bitmap region, and the
+        // last layer chunk: each must fail with a clear message, never
+        // read out of bounds.
+        for (size_t cut : {size_t(3), size_t(20), size_t(45),
+                           bytes.size() - 1}) {
+            std::vector<uint8_t> trunc(bytes.begin(),
+                                       bytes.begin() +
+                                           static_cast<ptrdiff_t>(cut));
+            EXPECT_EXIT(EncodedImage::deserialize(trunc),
+                        ::testing::ExitedWithCode(1), "truncated|magic")
+                << f->file << " cut at " << cut;
+        }
     }
+}
+
+TEST(CodecDeath, EncoderEmitsOnlyEpc4)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // EPC2 (chunkRows == 0) and EPC3 (progressive == false) are
+    // decode-only layouts: asking the encoder for either aborts.
+    raster::Plane img = testImage(96, 96, 23);
+    EncodeParams p;
+    p.chunkRows = 0;
+    EXPECT_EXIT(encode(img, p), ::testing::KilledBySignal(SIGABRT),
+                "chunk height 0");
+
+    TileCoderParams tp;
+    tp.progressive = false;
+    EXPECT_EXIT(encodeTileLayers(img, tp, 1, 96 * 96 * 2 / 8),
+                ::testing::KilledBySignal(SIGABRT), "EPC4");
+    tp.progressive = true;
+    tp.chunkRows = 0;
+    EXPECT_EXIT(encodeTileLayers(img, tp, 1, 96 * 96 * 2 / 8),
+                ::testing::KilledBySignal(SIGABRT), "EPC4");
 }
 
 TEST(CodecDeath, DeserializeRejectsCorruptHeaderFields)
@@ -592,36 +613,29 @@ TEST(Codec, ChunkedStreamByteIdenticalAcrossSimdLevels)
 
 TEST(Codec, V1StreamsStillDecode)
 {
-    // chunkRows == 0 emits the legacy EPC2 format, which must stay
-    // writable and decodable forever (the ground archive holds such
-    // streams); chunkRows > 0 emits EPC3. Both reconstruct losslessly.
-    raster::Plane img = testImage(150, 110, 32);
-    for (auto &v : img.data())
-        v = std::round(v * 255.0f) / 255.0f;
-    EncodeParams p;
-    p.lossless = true;
-    p.wavelet = Wavelet::LeGall53;
-    p.tileSize = 96;
+    // EPC2 (v1) and EPC3 (v2) streams must stay decodable forever (the
+    // ground archive holds such streams), and re-serialize in their
+    // own format; the encoder emits EPC4. All three reconstruct the
+    // same source losslessly.
+    const fixtures::ImageFixture &f1 = fixtures::kEpc2Lossless;
+    const fixtures::ImageFixture &f2 = fixtures::kEpc3Lossless;
+    raster::Plane img = fixtures::sourceImage(f1);
+    std::vector<uint8_t> v1 = fixtures::loadStream(f1);
+    std::vector<uint8_t> v2 = fixtures::loadStream(f2);
+    std::vector<uint8_t> v3 =
+        encode(img, fixtures::encodeParams(f2)).serialize();
 
-    p.chunkRows = 0;
-    std::vector<uint8_t> v1 = encode(img, p).serialize();
-    p.chunkRows = 48;
-    p.progressive = false;
-    std::vector<uint8_t> v2 = encode(img, p).serialize();
-
-    // The magic spells out the version ("EPC2" vs "EPC3"); default
-    // params (progressive) emit "EPC4".
+    // The magic spells out the version.
     EXPECT_EQ(std::memcmp(v1.data(), "EPC2", 4), 0);
     EXPECT_EQ(std::memcmp(v2.data(), "EPC3", 4), 0);
-    p.progressive = true;
-    std::vector<uint8_t> v3 = encode(img, p).serialize();
     EXPECT_EQ(std::memcmp(v3.data(), "EPC4", 4), 0);
 
     for (int v = 0; v < 3; ++v) {
         const std::vector<uint8_t> &bytes = v == 0 ? v1 : v == 1 ? v2 : v3;
         EncodedImage back = EncodedImage::deserialize(bytes);
-        EXPECT_EQ(back.chunkRows, v == 0 ? 0 : 48);
+        EXPECT_EQ(back.chunkRows, v == 0 ? 0 : f2.chunkRows);
         EXPECT_EQ(back.progressive, v == 2);
+        EXPECT_EQ(back.serialize(), bytes) << "version " << v + 1;
         raster::Plane dec = decode(back);
         for (size_t i = 0; i < img.data().size(); ++i)
             ASSERT_NEAR(img.data()[i], dec.data()[i], 1e-6)
@@ -632,12 +646,23 @@ TEST(Codec, V1StreamsStillDecode)
 TEST(CodecDeath, TruncatedChunkLengthPrefixIsFatal)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    raster::Plane tile = testImage(96, 96, 33);
-    TileCoderParams tp;
-    tp.chunkRows = 32; // 3 framed chunks per layer stream
-    auto layers = encodeTileLayers(tile, tp, 1, 96 * 96 * 2 / 8);
-    const std::vector<uint8_t> &layer0 = layers[0];
+    // An EPC3 (v2) stream has no truncation points: a short chunk frame
+    // is corruption. Tile 0 of this fixture is 96x96 with chunkRows =
+    // 32, so its layer-0 sub-chunk frames 3 entropy chunks.
+    const fixtures::ImageFixture &f = fixtures::kEpc3Matrix[0];
+    ASSERT_EQ(f.tileSize, 96);
+    ASSERT_EQ(f.chunkRows, 32);
+    EncodedImage e = EncodedImage::deserialize(fixtures::loadStream(f));
+    const std::vector<uint8_t> &chunk = e.layerChunks[0];
+    uint32_t tileLen;
+    std::memcpy(&tileLen, chunk.data(), 4);
+    ASSERT_LE(tileLen, chunk.size() - 4);
+    const std::vector<uint8_t> layer0(chunk.begin() + 4,
+                                      chunk.begin() + 4 + tileLen);
     ASSERT_GT(layer0.size(), 8u);
+    TileCoderParams tp;
+    tp.chunkRows = 32;
+    tp.progressive = false;
     auto spanOf = [](const std::vector<uint8_t> &v) {
         return std::vector<ChunkSpan>{{v.data(), v.size()}};
     };

@@ -295,7 +295,6 @@ progressivePayloadFor(uint64_t salt)
     img.clampTo(0.0f, 1.0f);
     codec::EncodeParams ep;
     ep.bitsPerPixel = 3.0;
-    ep.progressive = true;
     return cache.emplace(salt, codec::encode(img, ep).serialize())
         .first->second;
 }

@@ -23,6 +23,7 @@
 
 #include "codec/codec.hh"
 #include "core/simulation.hh"
+#include "fixtures.hh"
 #include "ground/archive.hh"
 #include "ground/crc32.hh"
 #include "ground/packet.hh"
@@ -677,7 +678,6 @@ appendProgressiveCapture(Archive &archive, int locationId, double day,
 {
     codec::EncodeParams ep;
     ep.bitsPerPixel = 4.0;
-    ep.progressive = true;
     RecordMeta meta;
     meta.locationId = locationId;
     meta.captureDay = day;
@@ -743,15 +743,12 @@ TEST(ArchivePressure, SkipsNonProgressiveRecordsAndReportsFloor)
 
     // A pre-progressive (EPC3) record: pressure must leave it
     // byte-identical.
-    codec::EncodeParams ep;
-    ep.bitsPerPixel = 4.0;
-    ep.progressive = false;
     RecordMeta meta;
     meta.locationId = 1;
     meta.captureDay = 1.0;
     meta.fullDownload = true;
     std::vector<uint8_t> legacy =
-        codec::encode(testPlane(128, 96, 61), ep).serialize();
+        fixtures::loadStream(fixtures::kEpc3Archived);
     archive.append(meta, legacy);
 
     // Target far below what header floors allow: the pass degrades
@@ -805,11 +802,9 @@ TEST(ArchivePressure, V2RecordArchivesReopenUnchanged)
     // existed reopens and serves byte-identically; pressure never
     // rewrites what it cannot truncate.
     TempPath path("archive_pressure_v2.epar");
-    raster::Plane img = testPlane(128, 128, 63);
-    codec::EncodeParams ep;
-    ep.bitsPerPixel = 4.0;
-    ep.progressive = false;
-    std::vector<uint8_t> payload = codec::encode(img, ep).serialize();
+    const fixtures::ImageFixture &f = fixtures::kEpc3Archived;
+    raster::Plane img = fixtures::sourceImage(f);
+    std::vector<uint8_t> payload = fixtures::loadStream(f);
     ASSERT_EQ(std::memcmp(payload.data(), "EPC3", 4), 0);
     {
         Archive archive(path.str());
@@ -836,6 +831,9 @@ TEST(ArchivePressure, V2RecordArchivesReopenUnchanged)
     TileResult r = server.serve(q);
     ASSERT_TRUE(r.ok());
     EXPECT_GT(raster::psnr(img, r.pixels), 30.0);
+    raster::Plane direct =
+        codec::decode(codec::EncodedImage::deserialize(payload));
+    EXPECT_EQ(r.pixels.data(), direct.data());
 }
 
 // -------------------------------------------------- typed open failures
@@ -1274,15 +1272,11 @@ TEST(TileServer, QualityHintServesReducedFidelityThenRefines)
 TEST(TileServer, QualityHintIgnoredOnPreProgressiveRecords)
 {
     Archive archive("");
-    raster::Plane img = testPlane(128, 128, 91);
-    codec::EncodeParams ep;
-    ep.bitsPerPixel = 4.0;
-    ep.progressive = false;
     RecordMeta meta;
     meta.locationId = 1;
     meta.captureDay = 1.0;
     meta.fullDownload = true;
-    archive.append(meta, codec::encode(img, ep).serialize());
+    archive.append(meta, fixtures::loadStream(fixtures::kEpc3Archived));
 
     TileServer server(archive);
     TileQuery q;
@@ -1375,8 +1369,6 @@ TEST(TileServer, StatsViewWindowsTheRegistry)
     EXPECT_GT(stats.tilesDecoded, 0u);
     EXPECT_GT(stats.tilesCacheHit, 0u);
     EXPECT_GE(stats.coalesceClaims, stats.tilesDecoded);
-    // stats() stays as a deprecated alias of statsView().
-    EXPECT_EQ(server.stats().queries, 2u);
     server.resetStats();
     EXPECT_EQ(server.statsView().queries, 0u);
     EXPECT_EQ(server.statsView().tilesDecoded, 0u);
