@@ -14,9 +14,9 @@
 #           chaos probe with its recovery-counter gate — and the same
 #           suites again under ASan
 #   coverage instrumented (--coverage) build + full ctest, gcov line
-#           coverage emitted as a JSON artifact, and a gate failing
-#           when src/codec line coverage drops below the recorded
-#           baseline (ci/coverage_gate.py)
+#           coverage emitted as JSON artifacts, and a gate failing
+#           when src/codec or src/ground line coverage drops below
+#           its recorded baseline (ci/coverage_gate.py)
 #   docs    API-doc check (Doxygen when installed + doc-comment lint)
 #   all     everything above, in that order (default)
 #
@@ -270,10 +270,11 @@ run_chaos() {
 
 run_coverage() {
     # Line-coverage build: gcc's --coverage (gcov) on a Debug tree,
-    # full ctest so every suite contributes counts, then the gate:
-    # src/codec line coverage must not drop below the recorded
-    # baseline (ci/COVERAGE_codec.baseline.json — regenerate with
-    # ci/coverage_gate.py --rebaseline after intentional changes).
+    # full ctest so every suite contributes counts, then one gate per
+    # directory: src/codec and src/ground line coverage must not drop
+    # below their recorded baselines (ci/COVERAGE_<dir>.baseline.json
+    # — regenerate with ci/coverage_gate.py --scope src/<dir>
+    # --rebaseline after intentional changes).
     local cov_dir="${COVERAGE_BUILD_DIR:-${BUILD_DIR}-coverage}"
     # shellcheck disable=SC2086
     cmake -B "$cov_dir" -S . ${CMAKE_ARGS:-} \
@@ -283,10 +284,14 @@ run_coverage() {
     cmake --build "$cov_dir" -j
     ctest --test-dir "$cov_dir" --output-on-failure -j
     mkdir -p "$ARTIFACTS_DIR"
-    python3 ci/coverage_gate.py \
-        --build-dir "$cov_dir" \
-        --baseline ci/COVERAGE_codec.baseline.json \
-        --report "$ARTIFACTS_DIR/coverage_codec.json"
+    local dir
+    for dir in codec ground; do
+        python3 ci/coverage_gate.py \
+            --build-dir "$cov_dir" \
+            --scope "src/$dir" \
+            --baseline "ci/COVERAGE_$dir.baseline.json" \
+            --report "$ARTIFACTS_DIR/coverage_$dir.json"
+    done
 }
 
 run_docs() {

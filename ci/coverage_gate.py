@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
-"""Line-coverage gate for the codec (src/codec).
+"""Line-coverage gate for one source directory (default src/codec).
 
 Reads the .gcda/.gcno counters a ``--coverage`` build left in the
 build tree (ci/check.sh coverage runs the full ctest suite first),
 merges them with ``gcov --json-format`` into per-file line coverage,
 writes the result as a JSON artifact, and fails when the aggregate
-src/codec line coverage drops more than ``margin`` percentage points
-below the recorded baseline.
+line coverage of ``--scope`` drops more than ``margin`` percentage
+points below that scope's recorded baseline.
 
-The gate is scoped to src/codec deliberately: the codec is the
-byte-format core every other layer builds on (truncation points,
-golden streams, crash-consistent archives), so untested codec lines
-are where silent format regressions hide.
+Each gated directory has its own baseline. ci/check.sh gates
+src/codec, the byte-format core every other layer builds on, where
+untested lines hide silent format regressions, and src/ground, whose
+archive open and recovery paths only tests keep honest.
 
 Re-baselining after an intentional change::
 
     ci/check.sh coverage            # populates the build tree
     python3 ci/coverage_gate.py --build-dir build-coverage \
-        --baseline ci/COVERAGE_codec.baseline.json --rebaseline
+        --scope src/ground \
+        --baseline ci/COVERAGE_ground.baseline.json --rebaseline
 
 Stdlib only — no coverage tooling beyond gcov itself.
 """
@@ -29,16 +30,15 @@ import subprocess
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCOPE = "src/codec/"
 
 
-def find_gcda(build_dir):
-    """Every codec object's .gcda under the build tree."""
+def find_gcda(build_dir, scope):
+    """Every .gcda under the build tree of an object from `scope`."""
     hits = []
     for root, _dirs, files in os.walk(build_dir):
         for name in files:
             path = os.path.join(root, name)
-            if name.endswith(".gcda") and SCOPE in path.replace("\\", "/"):
+            if name.endswith(".gcda") and scope in path.replace("\\", "/"):
                 hits.append(path)
     return sorted(hits)
 
@@ -56,14 +56,15 @@ def gcov_json(gcda):
     return json.loads(out.stdout)
 
 
-def merge_counts(build_dir):
+def merge_counts(build_dir, scope):
     """file -> {line -> count}, max-merged across translation units."""
     counts = {}
-    gcdas = find_gcda(build_dir)
+    gcdas = find_gcda(build_dir, scope)
     if not gcdas:
         sys.exit(
-            "coverage_gate: no src/codec .gcda files under '%s' — "
-            "build with --coverage and run the tests first" % build_dir
+            "coverage_gate: no %s .gcda files under '%s' — "
+            "build with --coverage and run the tests first"
+            % (scope.rstrip("/"), build_dir)
         )
     for gcda in gcdas:
         for f in gcov_json(gcda).get("files", []):
@@ -71,7 +72,7 @@ def merge_counts(build_dir):
             if not os.path.isabs(path):
                 path = os.path.normpath(os.path.join(REPO_ROOT, path))
             rel = os.path.relpath(path, REPO_ROOT).replace("\\", "/")
-            if not rel.startswith(SCOPE):
+            if not rel.startswith(scope):
                 continue
             per_line = counts.setdefault(rel, {})
             for line in f.get("lines", []):
@@ -80,7 +81,7 @@ def merge_counts(build_dir):
     return counts
 
 
-def summarize(counts):
+def summarize(counts, scope):
     files = {}
     covered_total = 0
     lines_total = 0
@@ -99,7 +100,7 @@ def summarize(counts):
         round(100.0 * covered_total / lines_total, 2) if lines_total else 0.0
     )
     return {
-        "scope": SCOPE.rstrip("/"),
+        "scope": scope.rstrip("/"),
         "aggregate_percent": aggregate,
         "covered_lines": covered_total,
         "total_lines": lines_total,
@@ -113,9 +114,15 @@ def main():
         "--build-dir", required=True, help="--coverage build tree"
     )
     parser.add_argument(
+        "--scope",
+        default="src/codec",
+        help="repo-relative source directory to gate (default src/codec)",
+    )
+    parser.add_argument(
         "--baseline",
         required=True,
-        help="checked-in baseline JSON (ci/COVERAGE_codec.baseline.json)",
+        help="checked-in baseline JSON of that scope "
+        "(ci/COVERAGE_<dir>.baseline.json)",
     )
     parser.add_argument(
         "--report", help="where to write the coverage JSON artifact"
@@ -133,7 +140,8 @@ def main():
     )
     args = parser.parse_args()
 
-    summary = summarize(merge_counts(args.build_dir))
+    scope = args.scope.strip("/") + "/"
+    summary = summarize(merge_counts(args.build_dir, scope), scope)
     if args.report:
         os.makedirs(os.path.dirname(args.report) or ".", exist_ok=True)
         with open(args.report, "w") as fh:

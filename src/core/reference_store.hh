@@ -56,9 +56,6 @@ class ReferenceStore
     /** Number of locations with references. */
     size_t size() const { return refs_.size(); }
 
-    /** Acceptance threshold. */
-    double maxCloudFraction() const { return maxCloudFraction_; }
-
   private:
     double maxCloudFraction_;
     std::map<int, raster::Image> refs_;

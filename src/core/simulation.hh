@@ -74,7 +74,7 @@ struct CaptureMetrics
     size_t downlinkBytes = 0;   ///< Bytes sent to the ground.
     double downloadedTileFraction = 0.0; ///< Tiles downloaded / total.
     double psnr = 0.0;          ///< Reconstruction PSNR (dB).
-    double referenceAgeDays = 0.0; ///< Age of the reference used.
+    double referenceAgeDays = 0.0; ///< Reference age (+inf: none/dropped).
     double uplinkBytes = 0.0;   ///< Reference-update uplink cost.
     double cloudDetectSec = 0.0;  ///< Cloud-detection runtime (s).
     double changeDetectSec = 0.0; ///< Change-detection runtime (s).

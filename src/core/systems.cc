@@ -305,7 +305,6 @@ KodanSystem::process(const synth::Capture &capture)
     ProcessResult res;
     const raster::Image &img = capture.image;
     raster::TileGrid grid(img.width(), img.height(), params_.tileSize);
-    res.referenceAgeDays = std::numeric_limits<double>::infinity();
 
     auto t0 = std::chrono::steady_clock::now();
     cloud::CloudDetection cd = cloudDetector_.detect(img, bands_, grid);
@@ -432,7 +431,6 @@ DownloadAllSystem::process(const synth::Capture &capture)
     ProcessResult res;
     const raster::Image &img = capture.image;
     raster::TileGrid grid(img.width(), img.height(), params_.tileSize);
-    res.referenceAgeDays = std::numeric_limits<double>::infinity();
     res.fullDownload = true;
 
     raster::TileMask roi(grid, true);

@@ -21,6 +21,7 @@
 #ifndef EARTHPLUS_CORE_SYSTEMS_HH
 #define EARTHPLUS_CORE_SYSTEMS_HH
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -77,8 +78,9 @@ struct ProcessResult
     double downloadedTileFraction = 0.0;
     /** Ground-reconstruction PSNR (dB) over non-cloudy pixels. */
     double psnr = 0.0;
-    /** Age of the reference used (days; +inf when none). */
-    double referenceAgeDays = 0.0;
+    /** Age of the reference used (days; +inf when none, which
+     *  includes every dropped capture). */
+    double referenceAgeDays = std::numeric_limits<double>::infinity();
     /** Cloud coverage as measured on board. */
     double measuredCloudCoverage = 0.0;
     double cloudDetectSec = 0.0;  ///< Cloud-detection runtime (s).
@@ -103,9 +105,6 @@ class OnboardSystem
 
     /** Process one capture and produce the download + reconstruction. */
     virtual ProcessResult process(const synth::Capture &capture) = 0;
-
-    /** Human-readable system name. */
-    virtual const char *name() const = 0;
 };
 
 /**
@@ -137,8 +136,6 @@ class EarthPlusSystem : public OnboardSystem
 
     ProcessResult process(const synth::Capture &capture) override;
 
-    const char *name() const override { return "Earth+"; }
-
     /** On-board cache of one satellite (created on demand). */
     OnboardCache &cacheFor(int satelliteId);
 
@@ -167,8 +164,6 @@ class KodanSystem : public OnboardSystem
 
     ProcessResult process(const synth::Capture &capture) override;
 
-    const char *name() const override { return "Kodan"; }
-
   private:
     std::vector<synth::BandSpec> bands_;
     SystemParams params_;
@@ -186,8 +181,6 @@ class SatRoISystem : public OnboardSystem
                  const SystemParams &params);
 
     ProcessResult process(const synth::Capture &capture) override;
-
-    const char *name() const override { return "SatRoI"; }
 
   private:
     std::vector<synth::BandSpec> bands_;
@@ -208,8 +201,6 @@ class DownloadAllSystem : public OnboardSystem
                       const SystemParams &params);
 
     ProcessResult process(const synth::Capture &capture) override;
-
-    const char *name() const override { return "DownloadAll"; }
 
   private:
     std::vector<synth::BandSpec> bands_;

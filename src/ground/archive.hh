@@ -24,10 +24,8 @@
  *                captureDay f64 | referenceDay f64 | payloadBytes u64 |
  *                payloadCrc u32 | payload bytes
  *
- * The shard container format is byte-identical to the pre-sharding
- * single-file archive format; opening a path that is a regular file
- * with the "EPAR" magic migrates it in place into the sharded layout
- * (see ScanReport::migratedLegacy).
+ * A regular file at the path is not an archive: open() fails closed
+ * (OpenErrorKind::Unwritable) and leaves the file untouched.
  *
  * Appends go to the end of a shard file; open() scans every shard to
  * rebuild the in-memory indexes and is corruption-tolerant per shard:
@@ -74,9 +72,9 @@ enum class SyncPolicy
      * Never fdatasync on the append path: an acknowledged append can
      * be lost to power failure (never to a process crash — the write
      * itself completes before the acknowledgement). Metadata
-     * operations (manifest creation, migration and compaction
-     * renames) still get the full temp-fsync-rename-dirsync
-     * choreography under every policy.
+     * operations (manifest creation and the compaction and
+     * storage-pressure renames) still get the full
+     * temp-fsync-rename-dirsync choreography under every policy.
      */
     None,
     /** fdatasync a shard once every syncIntervalBytes appended to it:
@@ -112,7 +110,6 @@ enum class OpenErrorKind
     BadManifest,    ///< Manifest unreadable or malformed.
     Unwritable,     ///< Cannot create the directory/manifest/shards.
     ForeignData,    ///< A shard grew a tail we provably never wrote.
-    BadMigration,   ///< Interrupted legacy migration beyond recovery.
 };
 
 /**
@@ -179,8 +176,6 @@ struct ScanReport
     uint64_t validBytes = 0;
     /** True when any shard discarded a corrupt/truncated tail. */
     bool truncatedTail = false;
-    /** True when a pre-sharding single-file archive was migrated. */
-    bool migratedLegacy = false;
 };
 
 /**
@@ -248,11 +243,8 @@ class Archive
     /**
      * Open (or create) an archive.
      *
-     * A non-empty path names a directory (created as needed). When
-     * the path is an existing regular file carrying the pre-sharding
-     * "EPAR" magic, it is migrated into the sharded layout in place:
-     * the file is renamed aside, its records are redistributed into
-     * shards in append order, and the original is removed on success.
+     * A non-empty path names a directory (created as needed); a
+     * regular file at the path fails the open and is left untouched.
      *
      * @param path Directory path; empty for a memory-backed archive.
      * @param shardCount Shards to create (<= 0 picks
@@ -446,8 +438,6 @@ class Archive
     Archive(const std::string &path, const ArchiveOptions &options,
             ArchiveOpenError *error);
     bool openShards(int shardCount);
-    bool recoverInterruptedMigration();
-    bool migrateLegacyFile(int shardCount);
     /**
      * Record an open failure: stores into the caller-provided error
      * slot when one exists (open() path), fatal()s otherwise

@@ -127,15 +127,6 @@ struct ChannelStats
     uint64_t bytesSent = 0;   ///< Wire bytes (headers included).
     uint32_t streamsCompleted = 0; ///< Transfers fully reassembled.
     uint32_t streamsFailed = 0; ///< Transfers dropped by retention.
-
-    /** Fraction of sent packets that were lost. */
-    double lossRate() const
-    {
-        return packetsSent
-            ? static_cast<double>(packetsLost) /
-                  static_cast<double>(packetsSent)
-            : 0.0;
-    }
 };
 
 /** Configuration of the simulated downlink channel. */

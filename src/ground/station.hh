@@ -45,12 +45,11 @@ struct GroundSegmentParams
     double contactPhaseDays = 0.0;
     /**
      * Archive directory path; empty keeps the archive in memory. A
-     * path naming a pre-sharding single-file archive is migrated into
-     * the sharded directory layout on open. Each GroundStation owns
-     * its directory exclusively — concurrent simulations
-     * (core::runSimulationsBatch jobs) must use distinct paths or
-     * leave this empty, or their interleaved appends corrupt the
-     * shard files.
+     * path naming a regular file is not an archive: the open fails
+     * closed. Each GroundStation owns its directory exclusively —
+     * concurrent simulations (core::runSimulationsBatch jobs) must
+     * use distinct paths or leave this empty, or their interleaved
+     * appends corrupt the shard files.
      */
     std::string archivePath;
 };
@@ -118,9 +117,6 @@ class GroundStation
 
     /** The archive downloads land in (const view). */
     const Archive &archive() const { return archive_; }
-
-    /** Captures submitted but not yet completed or failed. */
-    size_t pendingCaptures() const { return pending_.size(); }
 
     /** Station-level statistics (current channel stats included). */
     StationStats stats() const;

@@ -40,15 +40,4 @@ WeatherProcess::coverage(int locationId, int day) const
     return rng.uniform(params_.overcastLo, 1.0);
 }
 
-double
-WeatherProcess::meanCoverage(int locationId, int fromDay, int toDay) const
-{
-    if (toDay <= fromDay)
-        return 0.0;
-    double sum = 0.0;
-    for (int d = fromDay; d < toDay; ++d)
-        sum += coverage(locationId, d);
-    return sum / static_cast<double>(toDay - fromDay);
-}
-
 } // namespace earthplus::synth

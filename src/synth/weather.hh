@@ -53,9 +53,6 @@ class WeatherProcess
      */
     double coverage(int locationId, int day) const;
 
-    /** Mean coverage over a day range (for calibration checks). */
-    double meanCoverage(int locationId, int fromDay, int toDay) const;
-
     const WeatherParams &params() const { return params_; }
 
   private:

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string>
@@ -318,7 +319,6 @@ TEST(Archive, AppendScanReopen)
     Archive reopened(path.str());
     ASSERT_EQ(reopened.recordCount(), 2u);
     EXPECT_FALSE(reopened.scanReport().truncatedTail);
-    EXPECT_FALSE(reopened.scanReport().migratedLegacy);
     RecordEntry r0 = reopened.record(0);
     EXPECT_EQ(r0.meta.locationId, 3);
     EXPECT_EQ(r0.meta.satelliteId, 1);
@@ -449,105 +449,6 @@ TEST(Archive, CorruptShardPayloadTailDiscarded)
     Archive recovered(path.str());
     EXPECT_TRUE(recovered.scanReport().truncatedTail);
     EXPECT_EQ(recovered.recordCount(), 0u);
-}
-
-TEST(Archive, MigratesLegacySingleFileArchive)
-{
-    // A shard container *is* the legacy single-file format, so a
-    // 1-shard archive's container doubles as a legacy fixture.
-    TempPath stage("archive_legacy_stage.epar");
-    TempPath path("archive_legacy.epar");
-    std::vector<RecordMeta> metas;
-    std::vector<std::vector<uint8_t>> payloads;
-    {
-        Archive onefile(stage.str(), 1);
-        for (int i = 0; i < 6; ++i) {
-            RecordMeta meta;
-            meta.locationId = i % 3; // several chains, one container
-            meta.band = i % 2;
-            meta.captureDay = 1.0 + i;
-            meta.fullDownload = (i < 3);
-            meta.referenceDay = i < 3 ? -1.0 : 1.0 + (i % 3);
-            payloads.push_back(randomPayload(300 + 37 * i,
-                                             200 + static_cast<uint64_t>(i)));
-            metas.push_back(meta);
-            onefile.append(meta, payloads.back());
-        }
-        std::filesystem::copy_file(stage.str() + "/shard-000.epar",
-                                   path.str());
-    }
-
-    // Opening the bare file migrates it into the sharded layout. The
-    // global interleave across shards changes (reopen order is
-    // shard-scan order), but every (location, band) chain must keep
-    // its records in original append order with identical bytes —
-    // chains are the unit the tile server consumes.
-    Archive migrated(path.str());
-    EXPECT_TRUE(migrated.scanReport().migratedLegacy);
-    EXPECT_TRUE(std::filesystem::is_directory(path.str()));
-    ASSERT_EQ(migrated.recordCount(), metas.size());
-    for (int loc = 0; loc < 3; ++loc) {
-        for (int band = 0; band < 2; ++band) {
-            std::vector<size_t> expected;
-            for (size_t i = 0; i < metas.size(); ++i)
-                if (metas[i].locationId == loc && metas[i].band == band)
-                    expected.push_back(i);
-            std::vector<size_t> got = migrated.chain(loc, band);
-            ASSERT_EQ(got.size(), expected.size())
-                << "location " << loc << " band " << band;
-            for (size_t j = 0; j < got.size(); ++j) {
-                RecordEntry rec = migrated.record(got[j]);
-                size_t i = expected[j];
-                EXPECT_DOUBLE_EQ(rec.meta.captureDay,
-                                 metas[i].captureDay);
-                EXPECT_EQ(rec.meta.fullDownload, metas[i].fullDownload);
-                EXPECT_EQ(migrated.loadPayload(got[j]), payloads[i]);
-            }
-        }
-    }
-
-    // Round trip: a reopen is a plain sharded open, nothing left to
-    // migrate, and every chain still resolves.
-    Archive reopened(path.str());
-    EXPECT_FALSE(reopened.scanReport().migratedLegacy);
-    ASSERT_EQ(reopened.recordCount(), metas.size());
-    for (int loc = 0; loc < 3; ++loc)
-        for (int band = 0; band < 2; ++band)
-            EXPECT_EQ(reopened.chain(loc, band).size(), 1u)
-                << "location " << loc << " band " << band;
-}
-
-TEST(Archive, FinishesInterruptedMigrationSwap)
-{
-    // Simulate a crash between the migration's two renames: the
-    // staging directory is complete, the legacy file sits aside, and
-    // nothing is at the archive path. Opening must finish the swap.
-    TempPath path("archive_interrupted.epar");
-    TempPath staging("archive_interrupted.epar.migrating");
-    TempPath aside("archive_interrupted.epar.legacy-done");
-    auto payload = randomPayload(600, 55);
-    {
-        Archive complete(staging.str());
-        RecordMeta meta;
-        meta.locationId = 4;
-        meta.captureDay = 1.0;
-        meta.fullDownload = true;
-        complete.append(meta, payload);
-    }
-    // The aside legacy file (its content is irrelevant to recovery).
-    {
-        std::FILE *f = std::fopen(aside.str().c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        std::fputs("stale legacy bytes", f);
-        std::fclose(f);
-    }
-
-    Archive recovered(path.str());
-    EXPECT_TRUE(std::filesystem::is_directory(path.str()));
-    EXPECT_FALSE(std::filesystem::exists(staging.str()));
-    EXPECT_FALSE(std::filesystem::exists(aside.str()));
-    ASSERT_EQ(recovered.recordCount(), 1u);
-    EXPECT_EQ(recovered.loadPayload(recovered.chain(4, 0)[0]), payload);
 }
 
 TEST(Archive, CrossShardCompact)
@@ -855,8 +756,8 @@ seedArchive(const std::string &path)
     archive.append(meta, randomPayload(150, 42));
 }
 
-/** Expect Archive::open(path) to refuse with `kind`. */
-void
+/** Expect Archive::open(path) to refuse with `kind`; returns the error. */
+ArchiveOpenError
 expectOpenFails(const std::string &path, OpenErrorKind kind,
                 const std::string &label)
 {
@@ -866,6 +767,15 @@ expectOpenFails(const std::string &path, OpenErrorKind kind,
     EXPECT_EQ(err.kind, kind) << label << ": " << err.detail;
     EXPECT_FALSE(err.detail.empty())
         << label << ": detail must name the offending file";
+    return err;
+}
+
+/** Every byte of the file at `path`. */
+std::vector<uint8_t>
+fileBytes(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return std::vector<uint8_t>(std::istreambuf_iterator<char>(f), {});
 }
 
 } // anonymous namespace
@@ -930,6 +840,37 @@ TEST(ArchiveOpen, ForeignTailFailsClosedAndPreservesTheBytes)
     // Fail-closed means exactly that: the foreign bytes are evidence,
     // never auto-truncated like one of our own torn tails would be.
     EXPECT_EQ(std::filesystem::file_size(shard), grown);
+}
+
+TEST(ArchiveOpen, BareContainerFileFailsClosedAndIsLeftUntouched)
+{
+    // A shard container copied to a bare path looks like a
+    // single-file archive. There is one archive layout, the sharded
+    // directory, so the open must refuse the file without rewriting,
+    // moving or staging anything next to it.
+    TempPath stage("archive_open_bare_stage.epar");
+    TempPath path("archive_open_bare.epar");
+    {
+        Archive onefile(stage.str(), 1);
+        RecordMeta meta;
+        meta.locationId = 2;
+        meta.captureDay = 1.0;
+        meta.fullDownload = true;
+        onefile.append(meta, randomPayload(300, 61));
+    }
+    std::filesystem::copy_file(stage.str() + "/shard-000.epar",
+                               path.str());
+    std::vector<uint8_t> before = fileBytes(path.str());
+    ASSERT_FALSE(before.empty());
+
+    ArchiveOpenError err = expectOpenFails(
+        path.str(), OpenErrorKind::Unwritable, "bare container file");
+    EXPECT_NE(err.detail.find(path.str()), std::string::npos)
+        << err.detail;
+    EXPECT_TRUE(std::filesystem::is_regular_file(path.str()));
+    EXPECT_EQ(fileBytes(path.str()), before);
+    EXPECT_FALSE(std::filesystem::exists(path.str() + ".migrating"));
+    EXPECT_FALSE(std::filesystem::exists(path.str() + ".legacy-done"));
 }
 
 // ----------------------------------------------------- codec::decodeTiles

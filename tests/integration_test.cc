@@ -8,8 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/simulation.hh"
+#include "util/parallel.hh"
+#include "util/simd.hh"
 
 using namespace earthplus;
 using namespace earthplus::core;
@@ -214,4 +220,109 @@ TEST(Integration, MetricsAreInternallyConsistent)
     EXPECT_GT(s.requiredDownlinkMbps(600.0), 0.0);
     EXPECT_NEAR(s.requiredDownlinkMbps(600.0, 2.0),
                 2.0 * s.requiredDownlinkMbps(600.0), 1e-9);
+}
+
+namespace {
+
+/** The IEEE-754 bit pattern of `v` (bit-equality, NaN- and -0-safe). */
+uint64_t
+bits(double v)
+{
+    uint64_t out;
+    std::memcpy(&out, &v, sizeof(out));
+    return out;
+}
+
+const SystemKind kAllSystems[] = {SystemKind::EarthPlus, SystemKind::Kodan,
+                                  SystemKind::SatRoI,
+                                  SystemKind::DownloadAll};
+
+/** One short run of every system (Planet-like slice, location 0). */
+std::vector<SimSummary>
+runEverySystem()
+{
+    synth::DatasetSpec spec = smallPlanet(40.0);
+    std::vector<SimSummary> out;
+    for (SystemKind kind : kAllSystems)
+        out.push_back(LocationSimulation(spec, 0, kind, SimParams{}).run());
+    return out;
+}
+
+/**
+ * Assert `got` equals `want` bit for bit in every aggregate and every
+ * per-capture field except the wall-clock timings (*Sec).
+ */
+void
+expectSameSummary(const SimSummary &want, const SimSummary &got,
+                  const std::string &label)
+{
+    EXPECT_EQ(bits(got.totalDownlinkBytes), bits(want.totalDownlinkBytes))
+        << label;
+    EXPECT_EQ(bits(got.totalUplinkBytes), bits(want.totalUplinkBytes))
+        << label;
+    ASSERT_EQ(got.bandDownlinkBytes.size(), want.bandDownlinkBytes.size())
+        << label;
+    for (size_t b = 0; b < want.bandDownlinkBytes.size(); ++b)
+        EXPECT_EQ(bits(got.bandDownlinkBytes[b]),
+                  bits(want.bandDownlinkBytes[b]))
+            << label << " band " << b;
+    EXPECT_EQ(bits(got.meanPsnr), bits(want.meanPsnr)) << label;
+    EXPECT_EQ(bits(got.meanDownloadedFraction),
+              bits(want.meanDownloadedFraction))
+        << label;
+    EXPECT_EQ(bits(got.meanReferenceAgeDays),
+              bits(want.meanReferenceAgeDays))
+        << label;
+    EXPECT_EQ(got.processedCount, want.processedCount) << label;
+    EXPECT_EQ(got.droppedCount, want.droppedCount) << label;
+    EXPECT_EQ(got.fullDownloadCount, want.fullDownloadCount) << label;
+    EXPECT_EQ(got.referencedCount, want.referencedCount) << label;
+    EXPECT_EQ(got.groundEnabled, want.groundEnabled) << label;
+
+    ASSERT_EQ(got.captures.size(), want.captures.size()) << label;
+    for (size_t i = 0; i < want.captures.size(); ++i) {
+        const CaptureMetrics &w = want.captures[i];
+        const CaptureMetrics &g = got.captures[i];
+        std::string at = label + " capture " + std::to_string(i);
+        EXPECT_EQ(bits(g.day), bits(w.day)) << at;
+        EXPECT_EQ(g.satelliteId, w.satelliteId) << at;
+        EXPECT_EQ(g.dropped, w.dropped) << at;
+        EXPECT_EQ(g.fullDownload, w.fullDownload) << at;
+        EXPECT_EQ(g.downlinkBytes, w.downlinkBytes) << at;
+        EXPECT_EQ(bits(g.downloadedTileFraction),
+                  bits(w.downloadedTileFraction))
+            << at;
+        EXPECT_EQ(bits(g.psnr), bits(w.psnr)) << at;
+        EXPECT_EQ(bits(g.referenceAgeDays), bits(w.referenceAgeDays)) << at;
+        EXPECT_EQ(bits(g.uplinkBytes), bits(w.uplinkBytes)) << at;
+    }
+}
+
+} // namespace
+
+TEST(Integration, SimulationIsDeterministicAcrossThreadsAndSimd)
+{
+    // The whole pipeline (uplink planner, cloud and change detection,
+    // codec, reconstruction) must not depend on the pool size or the
+    // kernel dispatch level: one serial run, one 4-lane run, and one
+    // 4-lane run on the scalar kernels must agree bit for bit.
+    util::simd::Level prevLevel = util::simd::activeLevel();
+
+    util::ThreadPool::setGlobalThreads(1);
+    std::vector<SimSummary> serial = runEverySystem();
+    util::ThreadPool::setGlobalThreads(4);
+    std::vector<SimSummary> parallel = runEverySystem();
+    util::simd::setActiveLevel(util::simd::Level::Scalar);
+    std::vector<SimSummary> scalar = runEverySystem();
+
+    util::simd::setActiveLevel(prevLevel);
+    util::ThreadPool::setGlobalThreads(
+        util::ThreadPool::defaultThreadCount());
+
+    for (size_t k = 0; k < serial.size(); ++k) {
+        std::string name = systemName(kAllSystems[k]);
+        EXPECT_GT(serial[k].processedCount, 0) << name;
+        expectSameSummary(serial[k], parallel[k], name + " threads=4");
+        expectSameSummary(serial[k], scalar[k], name + " scalar");
+    }
 }

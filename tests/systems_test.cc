@@ -117,6 +117,8 @@ TEST(EarthPlusSystemTest, DropsOvercastCaptures)
     EXPECT_TRUE(r.dropped);
     EXPECT_EQ(r.downlinkBytes, 0u);
     EXPECT_GT(r.measuredCloudCoverage, 0.5);
+    // No reference was used, so the age is +inf, never a fresh 0.
+    EXPECT_TRUE(std::isinf(r.referenceAgeDays));
 }
 
 TEST(EarthPlusSystemTest, GuaranteedDownloadAfterPeriod)
@@ -225,6 +227,20 @@ TEST(SatRoISystemTest, ReferenceStaysFixedAndAges)
         // Still referenced to d1: the reference never refreshes.
         EXPECT_NEAR(r3.referenceAgeDays, d3 - d1, 0.5);
     }
+}
+
+TEST(SatRoISystemTest, DroppedCaptureReportsNoReferenceAge)
+{
+    SystemsFixture f;
+    SatRoISystem sys(f.config.bands, f.params);
+    double d1 = f.clearDay(0.0);
+    ASSERT_GE(d1, 0.0);
+    sys.process(f.sim->capture(d1, 0)); // bootstrap: reference exists
+    double d2 = f.cloudyDay(d1 + 1.0);
+    ASSERT_GE(d2, 0.0);
+    ProcessResult r = sys.process(f.sim->capture(d2, 0));
+    EXPECT_TRUE(r.dropped);
+    EXPECT_TRUE(std::isinf(r.referenceAgeDays));
 }
 
 TEST(DownloadAllSystemTest, AlwaysEverything)
