@@ -9,11 +9,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/simulation.hh"
+#include "ground/crc32.hh"
 #include "util/parallel.hh"
 #include "util/simd.hh"
 
@@ -233,19 +236,116 @@ bits(double v)
     return out;
 }
 
-const SystemKind kAllSystems[] = {SystemKind::EarthPlus, SystemKind::Kodan,
-                                  SystemKind::SatRoI,
-                                  SystemKind::DownloadAll};
+/** One simulation run of the determinism test and its golden digest. */
+struct GoldenRun
+{
+    const char *label; ///< Row name printed on regeneration.
+    SystemKind kind;   ///< System under simulation.
+    bool ground;       ///< Route downloads through the ground segment.
+    uint32_t crc;      ///< summaryDigest() recorded for this run.
+};
 
-/** One short run of every system (Planet-like slice, location 0). */
+/**
+ * Every system on the Planet-like slice, plus Earth+ with the ground
+ * segment on (lossy downlink with ARQ, in-memory archive), which
+ * exercises the commit path where references reach the store only
+ * when their download completes. The digests pin every non-timing
+ * output bit for bit; they were recorded before the four systems were
+ * folded into one pipeline. Regenerate by running this binary with
+ * EARTHPLUS_PRINT_GOLDEN=1 and pasting the printed rows.
+ */
+const GoldenRun kGoldenRuns[] = {
+    {"Earth+", SystemKind::EarthPlus, false, 0x1D80305Cu},
+    {"Kodan", SystemKind::Kodan, false, 0xA7A3B31Bu},
+    {"SatRoI", SystemKind::SatRoI, false, 0x401426E1u},
+    {"DownloadAll", SystemKind::DownloadAll, false, 0x86F015E5u},
+    {"Earth+ ground", SystemKind::EarthPlus, true, 0x0AE680A6u},
+};
+
+/** The enumerator spelling of `kind`, for printed kGoldenRuns rows. */
+const char *
+kindName(SystemKind kind)
+{
+    switch (kind) {
+      case SystemKind::EarthPlus:
+        return "EarthPlus";
+      case SystemKind::Kodan:
+        return "Kodan";
+      case SystemKind::SatRoI:
+        return "SatRoI";
+      case SystemKind::DownloadAll:
+        return "DownloadAll";
+    }
+    return "?";
+}
+
+/** One short run per kGoldenRuns row (Planet-like slice, location 0). */
 std::vector<SimSummary>
 runEverySystem()
 {
     synth::DatasetSpec spec = smallPlanet(40.0);
     std::vector<SimSummary> out;
-    for (SystemKind kind : kAllSystems)
-        out.push_back(LocationSimulation(spec, 0, kind, SimParams{}).run());
+    for (const GoldenRun &run : kGoldenRuns) {
+        SimParams params;
+        if (run.ground) {
+            params.groundSegment.enabled = true;
+            params.groundSegment.channel.lossProbability = 0.12;
+            params.groundSegment.channel.payloadBytesPerPacket = 1024;
+            params.groundSegment.channel.bytesPerContact = 15e9;
+            params.groundSegment.channel.retentionContacts = 4;
+        }
+        out.push_back(LocationSimulation(spec, 0, run.kind, params).run());
+    }
     return out;
+}
+
+/**
+ * CRC32 over the bit patterns of every non-timing CaptureMetrics field
+ * and every SimSummary aggregate, ground-segment counters included.
+ */
+uint32_t
+summaryDigest(const SimSummary &s)
+{
+    std::vector<uint8_t> bytes;
+    auto put = [&bytes](uint64_t v) {
+        for (int i = 0; i < 8; ++i)
+            bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    };
+    for (const CaptureMetrics &c : s.captures) {
+        put(bits(c.day));
+        put(static_cast<uint64_t>(c.satelliteId));
+        put(c.dropped);
+        put(c.fullDownload);
+        put(c.downlinkBytes);
+        put(bits(c.downloadedTileFraction));
+        put(bits(c.psnr));
+        put(bits(c.referenceAgeDays));
+        put(bits(c.uplinkBytes));
+    }
+    put(bits(s.totalDownlinkBytes));
+    put(bits(s.totalUplinkBytes));
+    for (double b : s.bandDownlinkBytes)
+        put(bits(b));
+    put(bits(s.meanPsnr));
+    put(bits(s.meanDownloadedFraction));
+    put(bits(s.meanReferenceAgeDays));
+    put(static_cast<uint64_t>(s.processedCount));
+    put(static_cast<uint64_t>(s.droppedCount));
+    put(static_cast<uint64_t>(s.fullDownloadCount));
+    put(static_cast<uint64_t>(s.referencedCount));
+    put(s.groundEnabled);
+    const ground::StationStats &g = s.groundStats;
+    put(g.channel.packetsSent);
+    put(g.channel.packetsLost);
+    put(g.channel.packetsRetransmitted);
+    put(g.channel.bytesSent);
+    put(g.channel.streamsCompleted);
+    put(g.channel.streamsFailed);
+    put(g.capturesCompleted);
+    put(g.capturesFailed);
+    put(g.capturesByteIdentical);
+    put(bits(g.lastCompletionDay));
+    return ground::crc32(bytes.data(), bytes.size());
 }
 
 /**
@@ -278,6 +378,22 @@ expectSameSummary(const SimSummary &want, const SimSummary &got,
     EXPECT_EQ(got.fullDownloadCount, want.fullDownloadCount) << label;
     EXPECT_EQ(got.referencedCount, want.referencedCount) << label;
     EXPECT_EQ(got.groundEnabled, want.groundEnabled) << label;
+    const ground::StationStats &wg = want.groundStats;
+    const ground::StationStats &gg = got.groundStats;
+    EXPECT_EQ(gg.channel.packetsSent, wg.channel.packetsSent) << label;
+    EXPECT_EQ(gg.channel.packetsLost, wg.channel.packetsLost) << label;
+    EXPECT_EQ(gg.channel.packetsRetransmitted,
+              wg.channel.packetsRetransmitted)
+        << label;
+    EXPECT_EQ(gg.channel.bytesSent, wg.channel.bytesSent) << label;
+    EXPECT_EQ(gg.channel.streamsCompleted, wg.channel.streamsCompleted)
+        << label;
+    EXPECT_EQ(gg.channel.streamsFailed, wg.channel.streamsFailed) << label;
+    EXPECT_EQ(gg.capturesCompleted, wg.capturesCompleted) << label;
+    EXPECT_EQ(gg.capturesFailed, wg.capturesFailed) << label;
+    EXPECT_EQ(gg.capturesByteIdentical, wg.capturesByteIdentical) << label;
+    EXPECT_EQ(bits(gg.lastCompletionDay), bits(wg.lastCompletionDay))
+        << label;
 
     ASSERT_EQ(got.captures.size(), want.captures.size()) << label;
     for (size_t i = 0; i < want.captures.size(); ++i) {
@@ -303,9 +419,11 @@ expectSameSummary(const SimSummary &want, const SimSummary &got,
 TEST(Integration, SimulationIsDeterministicAcrossThreadsAndSimd)
 {
     // The whole pipeline (uplink planner, cloud and change detection,
-    // codec, reconstruction) must not depend on the pool size or the
-    // kernel dispatch level: one serial run, one 4-lane run, and one
-    // 4-lane run on the scalar kernels must agree bit for bit.
+    // codec, reconstruction, and the lossy downlink of the ground
+    // segment) must not depend on the pool size or the kernel dispatch
+    // level: one serial run, one 4-lane run, and one 4-lane run on the
+    // scalar kernels must agree bit for bit, and with the recorded
+    // golden digests.
     util::simd::Level prevLevel = util::simd::activeLevel();
 
     util::ThreadPool::setGlobalThreads(1);
@@ -319,9 +437,25 @@ TEST(Integration, SimulationIsDeterministicAcrossThreadsAndSimd)
     util::ThreadPool::setGlobalThreads(
         util::ThreadPool::defaultThreadCount());
 
+    bool print = std::getenv("EARTHPLUS_PRINT_GOLDEN") != nullptr;
     for (size_t k = 0; k < serial.size(); ++k) {
-        std::string name = systemName(kAllSystems[k]);
+        const GoldenRun &run = kGoldenRuns[k];
+        std::string name = run.label;
+        if (print) {
+            // Regeneration mode: print rows to paste into kGoldenRuns.
+            std::printf("    {\"%s\", SystemKind::%s, %s, 0x%08Xu},\n",
+                        run.label, kindName(run.kind),
+                        run.ground ? "true" : "false",
+                        summaryDigest(serial[k]));
+        }
         EXPECT_GT(serial[k].processedCount, 0) << name;
+        EXPECT_EQ(serial[k].groundEnabled, run.ground) << name;
+        if (run.ground) {
+            EXPECT_GT(serial[k].groundStats.channel.packetsRetransmitted,
+                      0u)
+                << name;
+        }
+        EXPECT_EQ(summaryDigest(serial[k]), run.crc) << name;
         expectSameSummary(serial[k], parallel[k], name + " threads=4");
         expectSameSummary(serial[k], scalar[k], name + " scalar");
     }
