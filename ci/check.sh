@@ -15,8 +15,8 @@
 #           suites again under ASan
 #   coverage instrumented (--coverage) build + full ctest, gcov line
 #           coverage emitted as JSON artifacts, and a gate failing
-#           when src/codec or src/ground line coverage drops below
-#           its recorded baseline (ci/coverage_gate.py)
+#           when src/codec, src/ground or src/core line coverage drops
+#           below its recorded baseline (ci/coverage_gate.py)
 #   docs    API-doc check (Doxygen when installed + doc-comment lint)
 #   all     everything above, in that order (default)
 #
@@ -271,8 +271,8 @@ run_chaos() {
 run_coverage() {
     # Line-coverage build: gcc's --coverage (gcov) on a Debug tree,
     # full ctest so every suite contributes counts, then one gate per
-    # directory: src/codec and src/ground line coverage must not drop
-    # below their recorded baselines (ci/COVERAGE_<dir>.baseline.json
+    # directory: src/codec, src/ground and src/core line coverage must
+    # not drop below their recorded baselines (ci/COVERAGE_<dir>.baseline.json
     # — regenerate with ci/coverage_gate.py --scope src/<dir>
     # --rebaseline after intentional changes).
     local cov_dir="${COVERAGE_BUILD_DIR:-${BUILD_DIR}-coverage}"
@@ -285,7 +285,7 @@ run_coverage() {
     ctest --test-dir "$cov_dir" --output-on-failure -j
     mkdir -p "$ARTIFACTS_DIR"
     local dir
-    for dir in codec ground; do
+    for dir in codec ground core; do
         python3 ci/coverage_gate.py \
             --build-dir "$cov_dir" \
             --scope "src/$dir" \

@@ -10,8 +10,10 @@ points below that scope's recorded baseline.
 
 Each gated directory has its own baseline. ci/check.sh gates
 src/codec, the byte-format core every other layer builds on, where
-untested lines hide silent format regressions, and src/ground, whose
-archive open and recovery paths only tests keep honest.
+untested lines hide silent format regressions; src/ground, whose
+archive open and recovery paths only tests keep honest; and src/core,
+where every policy branch of the one on-board pipeline must stay
+exercised.
 
 Re-baselining after an intentional change::
 

@@ -85,8 +85,6 @@ class CheapCloudDetector
                           const std::vector<synth::BandSpec> &bands,
                           const raster::TileGrid &grid) const;
 
-    const Params &params() const { return params_; }
-
   private:
     Params params_;
 };
@@ -124,8 +122,6 @@ class AccurateCloudDetector
     CloudDetection detect(const raster::Image &img,
                           const std::vector<synth::BandSpec> &bands,
                           const raster::TileGrid &grid) const;
-
-    const Params &params() const { return params_; }
 
   private:
     Params params_;

@@ -4,11 +4,16 @@
 
 namespace earthplus::core {
 
-OnboardCache::OnboardCache(int downsampleFactor)
+OnboardCache::OnboardCache(int downsampleFactor, int tileSize)
     : factor_(downsampleFactor)
 {
     EP_ASSERT(downsampleFactor >= 1, "invalid downsample factor %d",
               downsampleFactor);
+    EP_ASSERT(tileSize >= downsampleFactor &&
+              tileSize % downsampleFactor == 0,
+              "tile size %d not divisible by downsample factor %d",
+              tileSize, downsampleFactor);
+    tileSizeLow_ = tileSize / downsampleFactor;
 }
 
 bool
@@ -40,7 +45,7 @@ OnboardCache::install(int locationId, raster::Image lowRes)
 
 void
 OnboardCache::updateTiles(int locationId, const raster::Image &newLowRes,
-                          const raster::TileMask &tiles, int tileSizeLow)
+                          const raster::TileMask &tiles)
 {
     auto it = cache_.find(locationId);
     EP_ASSERT(it != cache_.end(),
@@ -50,7 +55,7 @@ OnboardCache::updateTiles(int locationId, const raster::Image &newLowRes,
               cached.height() == newLowRes.height() &&
               cached.bandCount() == newLowRes.bandCount(),
               "delta update shape mismatch");
-    raster::TileGrid grid(cached.width(), cached.height(), tileSizeLow);
+    raster::TileGrid grid(cached.width(), cached.height(), tileSizeLow_);
     EP_ASSERT(grid.tilesX() == tiles.tilesX() &&
               grid.tilesY() == tiles.tilesY(),
               "delta update tile mask mismatch (%dx%d vs %dx%d)",

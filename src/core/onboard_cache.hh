@@ -29,8 +29,12 @@ class OnboardCache
     /**
      * @param downsampleFactor Reference downsampling factor relative
      *        to capture resolution.
+     * @param tileSize Full-resolution tile edge length; cached
+     *        references are tiled at tileSize / downsampleFactor, so
+     *        each low-res tile covers one full-res tile.
      */
-    explicit OnboardCache(int downsampleFactor);
+    explicit OnboardCache(int downsampleFactor,
+                          int tileSize = raster::kDefaultTileSize);
 
     /** True when the cache holds a reference for the location. */
     bool has(int locationId) const;
@@ -51,13 +55,15 @@ class OnboardCache
      * @param locationId Location to update (must exist).
      * @param newLowRes New low-resolution reference image.
      * @param tiles Tiles (full-resolution tile indices) to refresh.
-     * @param tileSizeLow Tile edge length in low-res pixels.
      */
     void updateTiles(int locationId, const raster::Image &newLowRes,
-                     const raster::TileMask &tiles, int tileSizeLow);
+                     const raster::TileMask &tiles);
 
     /** The configured downsampling factor. */
     int downsampleFactor() const { return factor_; }
+
+    /** Tile edge length of the cached references, in low-res pixels. */
+    int tileSizeLow() const { return tileSizeLow_; }
 
     /** Bytes used by all cached references (float storage). */
     size_t storageBytes() const;
@@ -67,6 +73,7 @@ class OnboardCache
 
   private:
     int factor_;
+    int tileSizeLow_;
     std::map<int, raster::Image> cache_;
 };
 

@@ -142,12 +142,6 @@ class LocationSimulation
     /** Run the full capture schedule and aggregate metrics. */
     SimSummary run();
 
-    /** The scene backing this simulation. */
-    const synth::SceneModel &scene() const { return *scene_; }
-
-    /** The system under simulation. */
-    OnboardSystem &system() { return *system_; }
-
     /**
      * The ground station routing this simulation's downloads (null
      * unless SimParams::groundSegment.enabled).

@@ -7,7 +7,6 @@
 #include "change/detector.hh"
 #include "raster/metrics.hh"
 #include "raster/resample.hh"
-#include "util/logging.hh"
 #include "util/parallel.hh"
 
 namespace earthplus::core {
@@ -70,23 +69,45 @@ encodeBands(const raster::Image &img, const raster::Bitmap &cloudMask,
     return bytes;
 }
 
-/** The same tile mask replicated for every band. */
-std::vector<raster::TileMask>
-uniformRois(const raster::TileMask &roi, int bands)
+/** Fraction of (band, tile) pairs downloaded. */
+double
+downloadedFraction(const std::vector<raster::TileMask> &rois)
 {
-    return std::vector<raster::TileMask>(static_cast<size_t>(bands), roi);
+    double set = 0.0, total = 0.0;
+    for (const auto &r : rois) {
+        set += r.countSet();
+        total += r.count();
+    }
+    return total > 0.0 ? set / total : 0.0;
 }
 
-/** Mean set-fraction across per-band masks. */
-double
-meanRoiFraction(const std::vector<raster::TileMask> &rois)
+/**
+ * Per-band tiles of `img` that changed against `ref` (downsampled by
+ * `factor` against the capture), judged on cloud-free pixels only and
+ * never including a cloudy tile. Bands are handled separately (§5)
+ * and are independent, so they fan across the pool.
+ */
+std::vector<raster::TileMask>
+changedTiles(const raster::Image &img, const raster::Image &ref, int factor,
+             const cloud::CloudDetection &cd, const SystemParams &params)
 {
-    if (rois.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (const auto &r : rois)
-        sum += r.fractionSet();
-    return sum / static_cast<double>(rois.size());
+    raster::Bitmap valid = factor == 1
+        ? cd.pixelMask
+        : raster::downsampleAny(cd.pixelMask, factor);
+    valid.invert();
+    change::ChangeDetectorParams cp;
+    cp.threshold = params.theta;
+    cp.tileSize = params.tileSize;
+    cp.referenceFactor = factor;
+    return util::parallelMap(
+        static_cast<size_t>(img.bandCount()), [&](size_t b) {
+            change::ChangeDetection det = change::detectChanges(
+                img.band(static_cast<int>(b)),
+                ref.band(static_cast<int>(b)), cp, &valid);
+            raster::TileMask roi = det.changedTiles;
+            roi.subtract(cd.tileMask);
+            return roi;
+        });
 }
 
 /**
@@ -143,16 +164,96 @@ meanPsnr(const raster::Image &truth, const raster::Image &recon,
 
 } // anonymous namespace
 
+OnboardSystem::OnboardSystem(std::vector<synth::BandSpec> bands,
+                             const SystemParams &params, Clouds clouds)
+    : params_(params), bands_(std::move(bands)), clouds_(clouds)
+{
+}
+
+cloud::CloudDetection
+OnboardSystem::detectClouds(const raster::Image &img,
+                            const raster::TileGrid &grid) const
+{
+    switch (clouds_) {
+      case Clouds::Cheap:
+        return cloud::CheapCloudDetector().detect(img, bands_, grid);
+      case Clouds::Accurate:
+        return cloud::AccurateCloudDetector().detect(img, bands_, grid);
+      case Clouds::None:
+        break;
+    }
+    cloud::CloudDetection none;
+    none.pixelMask = raster::Bitmap(img.width(), img.height(), false);
+    none.tileMask = raster::TileMask(grid);
+    return none;
+}
+
+bool
+OnboardSystem::fullDownloadDue(int locationId, double day) const
+{
+    auto it = lastFullDownload_.find(locationId);
+    return it == lastFullDownload_.end() ||
+           day - it->second >= params_.guaranteedPeriodDays;
+}
+
+ProcessResult
+OnboardSystem::process(const synth::Capture &capture)
+{
+    ProcessResult res;
+    const raster::Image &img = capture.image;
+    raster::TileGrid grid(img.width(), img.height(), params_.tileSize);
+
+    auto t0 = std::chrono::steady_clock::now();
+    cloud::CloudDetection cd = detectClouds(img, grid);
+    if (clouds_ != Clouds::None)
+        res.cloudDetectSec = secondsSince(t0);
+    res.measuredCloudCoverage = cd.coverage;
+    if (cd.coverage > params_.dropCloudFraction) {
+        res.dropped = true;
+        return res;
+    }
+
+    Selection sel = select(img.info());
+    res.fullDownload = sel.fullDownload;
+    res.referenceAgeDays = sel.referenceAgeDays;
+    std::vector<raster::TileMask> rois;
+    if (sel.reference && !sel.fullDownload) {
+        auto t1 = std::chrono::steady_clock::now();
+        rois = changedTiles(img, *sel.reference, sel.referenceFactor, cd,
+                            params_);
+        res.changeDetectSec = secondsSince(t1);
+    } else {
+        raster::TileMask roi(grid, true);
+        roi.subtract(cd.tileMask);
+        rois.assign(static_cast<size_t>(img.bandCount()), roi);
+    }
+
+    auto t2 = std::chrono::steady_clock::now();
+    res.downlinkBytes = encodeBands(img, cd.pixelMask, rois, params_,
+                                    res.encodedBands,
+                                    res.bandDownlinkBytes);
+    res.encodeSec = secondsSince(t2);
+    res.downloadedTileFraction = downloadedFraction(rois);
+
+    res.reconstructed = reconstruct(res.encodedBands, rois, sel.fill,
+                                    img.width(), img.height(),
+                                    params_.tileSize);
+    res.reconstructed.info() = img.info();
+    res.psnr = meanPsnr(img, res.reconstructed, capture.cloudTruth);
+
+    if (res.fullDownload)
+        lastFullDownload_[img.info().locationId] = img.info().captureDay;
+    commit(capture, res);
+    return res;
+}
+
 EarthPlusSystem::EarthPlusSystem(std::vector<synth::BandSpec> bands,
                                  const SystemParams &params,
                                  const UplinkPlanner::Params &uplinkParams,
                                  ReferenceStore &ground)
-    : bands_(std::move(bands)), params_(params), planner_(uplinkParams),
-      ground_(ground)
+    : OnboardSystem(std::move(bands), params, Clouds::Cheap),
+      planner_(uplinkParams), ground_(ground)
 {
-    EP_ASSERT(params_.tileSize % params_.refDownsample == 0,
-              "tile size %d not divisible by reference downsample %d",
-              params_.tileSize, params_.refDownsample);
 }
 
 OnboardCache &
@@ -161,7 +262,8 @@ EarthPlusSystem::cacheFor(int satelliteId)
     auto it = caches_.find(satelliteId);
     if (it == caches_.end())
         it = caches_.emplace(satelliteId,
-                             OnboardCache(params_.refDownsample)).first;
+                             OnboardCache(params_.refDownsample,
+                                          params_.tileSize)).first;
     return it->second;
 }
 
@@ -175,7 +277,8 @@ EarthPlusSystem::prepareCapture(int locationId, int satelliteId,
     if (plan.sent) {
         // Mirror the cache update at full resolution on the ground so
         // reconstruction uses exactly the content the satellite
-        // compared against.
+        // compared against. The cache's low-res tiles map one to one
+        // onto the full-res tiles of this grid.
         auto key = std::make_pair(satelliteId, locationId);
         const raster::Image &full = ground_.reference(locationId);
         if (plan.fullInstall || groundMirror_.count(key) == 0) {
@@ -200,255 +303,91 @@ EarthPlusSystem::prepareCapture(int locationId, int satelliteId,
     return plan;
 }
 
-ProcessResult
-EarthPlusSystem::process(const synth::Capture &capture)
+OnboardSystem::Selection
+EarthPlusSystem::select(const raster::CaptureInfo &info)
 {
-    ProcessResult res;
-    const raster::Image &img = capture.image;
-    int loc = img.info().locationId;
-    int sat = img.info().satelliteId;
-    double day = img.info().captureDay;
-    raster::TileGrid grid(img.width(), img.height(), params_.tileSize);
-
-    auto t0 = std::chrono::steady_clock::now();
-    cloud::CloudDetection cd =
-        cloudDetector_.detect(img, bands_, grid);
-    res.cloudDetectSec = secondsSince(t0);
-    res.measuredCloudCoverage = cd.coverage;
-    if (cd.coverage > params_.dropCloudFraction) {
-        res.dropped = true;
-        return res;
+    Selection sel;
+    const OnboardCache &cache = cacheFor(info.satelliteId);
+    if (cache.has(info.locationId)) {
+        sel.reference = &cache.reference(info.locationId);
+        sel.referenceFactor = cache.downsampleFactor();
+        sel.referenceAgeDays =
+            info.captureDay - cache.referenceDay(info.locationId);
     }
+    sel.fullDownload = !sel.reference ||
+                       fullDownloadDue(info.locationId, info.captureDay);
+    // The ground reconstructs from its mirror of the satellite's cache.
+    auto it = groundMirror_.find({info.satelliteId, info.locationId});
+    if (it != groundMirror_.end())
+        sel.fill = &it->second;
+    return sel;
+}
 
-    OnboardCache &cache = cacheFor(sat);
-    bool haveRef = cache.has(loc);
-    res.referenceAgeDays =
-        haveRef ? day - cache.referenceDay(loc)
-                : std::numeric_limits<double>::infinity();
-
-    auto itFull = lastFullDownload_.find(loc);
-    bool guaranteed =
-        itFull == lastFullDownload_.end() ||
-        day - itFull->second >= params_.guaranteedPeriodDays;
-
-    std::vector<raster::TileMask> rois;
-    if (guaranteed || !haveRef) {
-        raster::TileMask roi(grid, true);
-        roi.subtract(cd.tileMask);
-        rois = uniformRois(roi, img.bandCount());
-        res.fullDownload = true;
-    } else {
-        // Change detection per band against the cached low-res
-        // reference, on cloud-free pixels only. Bands are handled
-        // separately (§5) and are independent, so they fan across the
-        // pool.
-        auto t1 = std::chrono::steady_clock::now();
-        raster::Bitmap validLow =
-            raster::downsampleAny(cd.pixelMask, params_.refDownsample);
-        validLow.invert();
-        const raster::Image &ref = cache.reference(loc);
-        change::ChangeDetectorParams cp;
-        cp.threshold = params_.theta;
-        cp.tileSize = params_.tileSize;
-        cp.referenceFactor = params_.refDownsample;
-        rois = util::parallelMap(
-            static_cast<size_t>(img.bandCount()), [&](size_t b) {
-                change::ChangeDetection det = change::detectChanges(
-                    img.band(static_cast<int>(b)),
-                    ref.band(static_cast<int>(b)), cp, &validLow);
-                raster::TileMask roi = det.changedTiles;
-                roi.subtract(cd.tileMask);
-                return roi;
-            });
-        res.changeDetectSec = secondsSince(t1);
-    }
-
-    auto t2 = std::chrono::steady_clock::now();
-    res.downlinkBytes = encodeBands(img, cd.pixelMask, rois, params_,
-                                    res.encodedBands,
-                                    res.bandDownlinkBytes);
-    res.encodeSec = secondsSince(t2);
-    res.downloadedTileFraction = meanRoiFraction(rois);
-
-    // Ground side: reconstruct from the mirror of the satellite's
-    // reference and offer the result as a fresh reference.
-    auto key = std::make_pair(sat, loc);
-    const raster::Image *fill = nullptr;
-    auto itMirror = groundMirror_.find(key);
-    if (itMirror != groundMirror_.end())
-        fill = &itMirror->second;
-    res.reconstructed = reconstruct(res.encodedBands, rois, fill, img.width(),
-                                    img.height(), params_.tileSize);
-    res.reconstructed.info() = img.info();
-    res.psnr = meanPsnr(img, res.reconstructed, capture.cloudTruth);
-
-    if (res.fullDownload)
-        lastFullDownload_[loc] = day;
-    // The ground re-detects clouds with its accurate detector; we model
-    // that near-perfect detector with the ground-truth coverage (see
+void
+EarthPlusSystem::commit(const synth::Capture &capture,
+                        const ProcessResult &res)
+{
+    // Offer the reconstruction as a fresh reference. The ground
+    // re-detects clouds with its accurate detector; we model that
+    // near-perfect detector with the ground-truth coverage (see
     // DESIGN.md). With a ground segment in the loop, ingestion instead
     // happens when the packetized download completes.
     if (!params_.externalGroundIngest)
         ground_.offer(res.reconstructed, capture.cloudCoverage);
-    return res;
 }
 
 KodanSystem::KodanSystem(std::vector<synth::BandSpec> bands,
                          const SystemParams &params)
-    : bands_(std::move(bands)), params_(params)
+    : OnboardSystem(std::move(bands), params, Clouds::Accurate)
 {
-}
-
-ProcessResult
-KodanSystem::process(const synth::Capture &capture)
-{
-    ProcessResult res;
-    const raster::Image &img = capture.image;
-    raster::TileGrid grid(img.width(), img.height(), params_.tileSize);
-
-    auto t0 = std::chrono::steady_clock::now();
-    cloud::CloudDetection cd = cloudDetector_.detect(img, bands_, grid);
-    res.cloudDetectSec = secondsSince(t0);
-    res.measuredCloudCoverage = cd.coverage;
-    if (cd.coverage > params_.dropCloudFraction) {
-        res.dropped = true;
-        return res;
-    }
-
-    // Download every tile that is not cloudy.
-    raster::TileMask roi(grid, true);
-    roi.subtract(cd.tileMask);
-    std::vector<raster::TileMask> rois = uniformRois(roi, img.bandCount());
-
-    auto t2 = std::chrono::steady_clock::now();
-    res.downlinkBytes = encodeBands(img, cd.pixelMask, rois, params_,
-                                    res.encodedBands,
-                                    res.bandDownlinkBytes);
-    res.encodeSec = secondsSince(t2);
-    res.downloadedTileFraction = roi.fractionSet();
-
-    res.reconstructed = reconstruct(res.encodedBands, rois, nullptr, img.width(),
-                                    img.height(), params_.tileSize);
-    res.reconstructed.info() = img.info();
-    res.psnr = meanPsnr(img, res.reconstructed, capture.cloudTruth);
-    return res;
 }
 
 SatRoISystem::SatRoISystem(std::vector<synth::BandSpec> bands,
                            const SystemParams &params)
-    : bands_(std::move(bands)), params_(params)
+    : OnboardSystem(std::move(bands), params, Clouds::Cheap)
 {
 }
 
-ProcessResult
-SatRoISystem::process(const synth::Capture &capture)
+OnboardSystem::Selection
+SatRoISystem::select(const raster::CaptureInfo &info)
 {
-    ProcessResult res;
-    const raster::Image &img = capture.image;
-    int loc = img.info().locationId;
-    double day = img.info().captureDay;
-    raster::TileGrid grid(img.width(), img.height(), params_.tileSize);
-
-    auto t0 = std::chrono::steady_clock::now();
-    cloud::CloudDetection cd = cloudDetector_.detect(img, bands_, grid);
-    res.cloudDetectSec = secondsSince(t0);
-    res.measuredCloudCoverage = cd.coverage;
-    if (cd.coverage > params_.dropCloudFraction) {
-        res.dropped = true;
-        return res;
+    // Full-resolution change detection against the frozen reference,
+    // which also fills the undownloaded tiles on the ground.
+    Selection sel;
+    auto it = fixedRef_.find(info.locationId);
+    if (it != fixedRef_.end()) {
+        sel.reference = &it->second;
+        sel.referenceAgeDays = info.captureDay - it->second.info().captureDay;
+        sel.fill = &it->second;
     }
+    sel.fullDownload = !sel.reference ||
+                       fullDownloadDue(info.locationId, info.captureDay);
+    return sel;
+}
 
-    auto itRef = fixedRef_.find(loc);
-    bool haveRef = itRef != fixedRef_.end();
-    res.referenceAgeDays =
-        haveRef ? day - itRef->second.info().captureDay
-                : std::numeric_limits<double>::infinity();
-
-    auto itFull = lastFullDownload_.find(loc);
-    bool guaranteed =
-        itFull == lastFullDownload_.end() ||
-        day - itFull->second >= params_.guaranteedPeriodDays;
-
-    std::vector<raster::TileMask> rois;
-    if (guaranteed || !haveRef) {
-        raster::TileMask roi(grid, true);
-        roi.subtract(cd.tileMask);
-        rois = uniformRois(roi, img.bandCount());
-        res.fullDownload = true;
-    } else {
-        // Full-resolution change detection against the frozen
-        // reference, band by band across the pool.
-        auto t1 = std::chrono::steady_clock::now();
-        raster::Bitmap valid = cd.pixelMask;
-        valid.invert();
-        change::ChangeDetectorParams cp;
-        cp.threshold = params_.theta;
-        cp.tileSize = params_.tileSize;
-        cp.referenceFactor = 1;
-        rois = util::parallelMap(
-            static_cast<size_t>(img.bandCount()), [&](size_t b) {
-                change::ChangeDetection det = change::detectChanges(
-                    img.band(static_cast<int>(b)),
-                    itRef->second.band(static_cast<int>(b)), cp, &valid);
-                raster::TileMask roi = det.changedTiles;
-                roi.subtract(cd.tileMask);
-                return roi;
-            });
-        res.changeDetectSec = secondsSince(t1);
-    }
-
-    auto t2 = std::chrono::steady_clock::now();
-    res.downlinkBytes = encodeBands(img, cd.pixelMask, rois, params_,
-                                    res.encodedBands,
-                                    res.bandDownlinkBytes);
-    res.encodeSec = secondsSince(t2);
-    res.downloadedTileFraction = meanRoiFraction(rois);
-
-    const raster::Image *fill = haveRef ? &itRef->second : nullptr;
-    res.reconstructed = reconstruct(res.encodedBands, rois, fill, img.width(),
-                                    img.height(), params_.tileSize);
-    res.reconstructed.info() = img.info();
-    res.psnr = meanPsnr(img, res.reconstructed, capture.cloudTruth);
-
-    if (res.fullDownload)
-        lastFullDownload_[loc] = day;
+void
+SatRoISystem::commit(const synth::Capture &capture, const ProcessResult &res)
+{
     // The reference is fixed: set it from the first good full
     // download, never update afterwards [61].
-    if (!haveRef && res.fullDownload && capture.cloudCoverage < 0.05)
+    int loc = capture.image.info().locationId;
+    if (res.fullDownload && capture.cloudCoverage < 0.05 &&
+        fixedRef_.count(loc) == 0)
         fixedRef_[loc] = res.reconstructed;
-    return res;
 }
 
 DownloadAllSystem::DownloadAllSystem(std::vector<synth::BandSpec> bands,
                                      const SystemParams &params)
-    : bands_(std::move(bands)), params_(params)
+    : OnboardSystem(std::move(bands), params, Clouds::None)
 {
 }
 
-ProcessResult
-DownloadAllSystem::process(const synth::Capture &capture)
+OnboardSystem::Selection
+DownloadAllSystem::select(const raster::CaptureInfo &)
 {
-    ProcessResult res;
-    const raster::Image &img = capture.image;
-    raster::TileGrid grid(img.width(), img.height(), params_.tileSize);
-    res.fullDownload = true;
-
-    raster::TileMask roi(grid, true);
-    std::vector<raster::TileMask> rois = uniformRois(roi, img.bandCount());
-    raster::Bitmap noClouds(img.width(), img.height(), false);
-
-    auto t2 = std::chrono::steady_clock::now();
-    res.downlinkBytes = encodeBands(img, noClouds, rois, params_,
-                                    res.encodedBands,
-                                    res.bandDownlinkBytes);
-    res.encodeSec = secondsSince(t2);
-    res.downloadedTileFraction = 1.0;
-
-    res.reconstructed = reconstruct(res.encodedBands, rois, nullptr, img.width(),
-                                    img.height(), params_.tileSize);
-    res.reconstructed.info() = img.info();
-    res.psnr = meanPsnr(img, res.reconstructed, capture.cloudTruth);
-    return res;
+    Selection sel;
+    sel.fullDownload = true;
+    return sel;
 }
 
 } // namespace earthplus::core

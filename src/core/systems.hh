@@ -2,17 +2,22 @@
  * @file
  * On-board compression systems: Earth+ and the paper's baselines.
  *
- *  - EarthPlusSystem: cheap cloud removal -> drop if >50% cloudy ->
- *    illumination alignment -> change detection against the cached
- *    (downsampled, constellation-fresh) reference -> ROI encoding of
- *    changed tiles at a constant per-tile bit budget gamma -> monthly
- *    guaranteed full download (§5).
- *  - KodanSystem [37]: accurate (expensive) on-board cloud detection,
- *    downloads every non-cloudy tile.
- *  - SatRoISystem [61]: reference-based encoding against a fixed
- *    reference image that is never refreshed.
- *  - DownloadAllSystem: encodes everything (the "Download everything"
- *    bar of Fig. 19).
+ * Every system runs one pipeline, OnboardSystem::process(): cloud
+ * detection -> drop if cloudier than dropCloudFraction -> tile
+ * selection (every clear tile, or the tiles that changed against a
+ * reference) -> encode -> ground reconstruction + PSNR -> commit.
+ * The systems differ only in their policies:
+ *
+ *  - EarthPlusSystem: cheap cloud detector; change detection against
+ *    the satellite's cached (downsampled, constellation-fresh)
+ *    reference; monthly guaranteed full download; reconstructions
+ *    refresh the ground reference store (§5).
+ *  - KodanSystem [37]: accurate (expensive) cloud detector, downloads
+ *    every non-cloudy tile.
+ *  - SatRoISystem [61]: change detection against a fixed reference
+ *    image that is never refreshed.
+ *  - DownloadAllSystem: no cloud detector, encodes everything (the
+ *    "Download everything" bar of Fig. 19).
  *
  * All systems share the same codec and the same gamma so comparisons
  * isolate the *selection* policy, exactly as in the paper (§6.1).
@@ -24,7 +29,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "cloud/detector.hh"
@@ -44,7 +48,8 @@ struct SystemParams
     double gamma = 2.0;
     /** Change-detection threshold theta (mean abs diff). */
     double theta = 0.01;
-    /** Reference downsampling factor (Earth+ only). */
+    /** Reference downsampling factor (Earth+ only; sets the geometry
+     *  of the on-board caches and so of every reference update). */
     int refDownsample = 16;
     /** Tile edge length in pixels. */
     int tileSize = raster::kDefaultTileSize;
@@ -96,7 +101,9 @@ struct ProcessResult
 };
 
 /**
- * Common interface of all on-board systems.
+ * The on-board pipeline shared by every system: process() runs each
+ * step once, and subclasses supply the policies (cloud detector, tile
+ * selection, commit bookkeeping).
  */
 class OnboardSystem
 {
@@ -104,7 +111,64 @@ class OnboardSystem
     virtual ~OnboardSystem() = default;
 
     /** Process one capture and produce the download + reconstruction. */
-    virtual ProcessResult process(const synth::Capture &capture) = 0;
+    ProcessResult process(const synth::Capture &capture);
+
+  protected:
+    /** The on-board cloud detector a system runs. */
+    enum class Clouds
+    {
+        None,     ///< No detector: nothing is masked or dropped.
+        Cheap,    ///< cloud::CheapCloudDetector.
+        Accurate, ///< cloud::AccurateCloudDetector.
+    };
+
+    /** A system's tile-selection policy for one capture. */
+    struct Selection
+    {
+        /** Code every clear tile: a guaranteed or bootstrap download. */
+        bool fullDownload = false;
+        /**
+         * Reference change detection compares against (null: code
+         * every clear tile). Unused for full downloads.
+         */
+        const raster::Image *reference = nullptr;
+        /** Downsampling factor of `reference` against the capture. */
+        int referenceFactor = 1;
+        /** Age of the reference (days; +inf when none). */
+        double referenceAgeDays = std::numeric_limits<double>::infinity();
+        /** Ground image filling undownloaded tiles (null: flat gray). */
+        const raster::Image *fill = nullptr;
+    };
+
+    OnboardSystem(std::vector<synth::BandSpec> bands,
+                  const SystemParams &params, Clouds clouds);
+
+    /**
+     * Tile-selection policy for a capture that was not dropped. The
+     * default has no reference: every clear tile is coded.
+     */
+    virtual Selection select(const raster::CaptureInfo &) { return {}; }
+
+    /** Bookkeeping after a capture was coded (default: none). */
+    virtual void commit(const synth::Capture &, const ProcessResult &) {}
+
+    /**
+     * True when the location has had no full download within
+     * guaranteedPeriodDays of `day` (§5's guaranteed download).
+     */
+    bool fullDownloadDue(int locationId, double day) const;
+
+    SystemParams params_;
+
+  private:
+    /** Run the configured detector (None: an all-clear detection). */
+    cloud::CloudDetection detectClouds(const raster::Image &img,
+                                       const raster::TileGrid &grid) const;
+
+    std::vector<synth::BandSpec> bands_;
+    Clouds clouds_;
+    /** Last full-download day per location. */
+    std::map<int, double> lastFullDownload_;
 };
 
 /**
@@ -134,22 +198,20 @@ class EarthPlusSystem : public OnboardSystem
     UplinkPlan prepareCapture(int locationId, int satelliteId,
                               orbit::DailyByteBudget &budget);
 
-    ProcessResult process(const synth::Capture &capture) override;
-
     /** On-board cache of one satellite (created on demand). */
     OnboardCache &cacheFor(int satelliteId);
 
+  protected:
+    Selection select(const raster::CaptureInfo &info) override;
+    void commit(const synth::Capture &capture,
+                const ProcessResult &res) override;
+
   private:
-    std::vector<synth::BandSpec> bands_;
-    SystemParams params_;
     UplinkPlanner planner_;
     ReferenceStore &ground_;
-    cloud::CheapCloudDetector cloudDetector_;
     std::map<int, OnboardCache> caches_;
     /** Full-res ground mirror of each (satellite, location) cache. */
     std::map<std::pair<int, int>, raster::Image> groundMirror_;
-    /** Last guaranteed-download day per location. */
-    std::map<int, double> lastFullDownload_;
 };
 
 /**
@@ -161,13 +223,6 @@ class KodanSystem : public OnboardSystem
   public:
     KodanSystem(std::vector<synth::BandSpec> bands,
                 const SystemParams &params);
-
-    ProcessResult process(const synth::Capture &capture) override;
-
-  private:
-    std::vector<synth::BandSpec> bands_;
-    SystemParams params_;
-    cloud::AccurateCloudDetector cloudDetector_;
 };
 
 /**
@@ -180,15 +235,14 @@ class SatRoISystem : public OnboardSystem
     SatRoISystem(std::vector<synth::BandSpec> bands,
                  const SystemParams &params);
 
-    ProcessResult process(const synth::Capture &capture) override;
+  protected:
+    Selection select(const raster::CaptureInfo &info) override;
+    void commit(const synth::Capture &capture,
+                const ProcessResult &res) override;
 
   private:
-    std::vector<synth::BandSpec> bands_;
-    SystemParams params_;
-    cloud::CheapCloudDetector cloudDetector_;
     /** The fixed reference (set once per location, then frozen). */
     std::map<int, raster::Image> fixedRef_;
-    std::map<int, double> lastFullDownload_;
 };
 
 /**
@@ -200,11 +254,8 @@ class DownloadAllSystem : public OnboardSystem
     DownloadAllSystem(std::vector<synth::BandSpec> bands,
                       const SystemParams &params);
 
-    ProcessResult process(const synth::Capture &capture) override;
-
-  private:
-    std::vector<synth::BandSpec> bands_;
-    SystemParams params_;
+  protected:
+    Selection select(const raster::CaptureInfo &info) override;
 };
 
 } // namespace earthplus::core

@@ -51,12 +51,12 @@ struct UplinkPlan
 class UplinkPlanner
 {
   public:
+    /**
+     * Update parameters. The reference geometry (downsampling factor
+     * and low-res tile size) is the updated cache's own.
+     */
     struct Params
     {
-        /** Reference downsampling factor. */
-        int downsampleFactor = 16;
-        /** Full-resolution tile size. */
-        int tileSize = raster::kDefaultTileSize;
         /**
          * Low-res mean-abs-diff above which a low-res tile is included
          * in a delta update.
@@ -89,13 +89,11 @@ class UplinkPlanner
                           int locationId,
                           orbit::DailyByteBudget &budget) const;
 
-    const Params &params() const { return params_; }
-
   private:
     Params params_;
 
     /** Wire size of a full or partial low-res reference upload. */
-    double encodedBytes(const raster::Image &lowRes,
+    double encodedBytes(const raster::Image &lowRes, int tileSizeLow,
                         const raster::TileMask *tiles) const;
 };
 

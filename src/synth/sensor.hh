@@ -83,8 +83,6 @@ class CaptureSimulator
     /** Cloud opacity field for a day (shared across satellites). */
     raster::Plane cloudOpacity(double day) const;
 
-    const SceneModel &scene() const { return scene_; }
-
   private:
     const SceneModel &scene_;
     const WeatherProcess &weather_;

@@ -53,8 +53,6 @@ class WeatherProcess
      */
     double coverage(int locationId, int day) const;
 
-    const WeatherParams &params() const { return params_; }
-
   private:
     WeatherParams params_;
 };

@@ -116,7 +116,7 @@ TEST(OnboardCacheTest, InstallAndDeltaUpdate)
     low2.info().captureDay = 9.0;
     raster::TileMask tiles(2, 2, false);
     tiles.set(0, true);
-    cache.updateTiles(0, low2, tiles, 4);
+    cache.updateTiles(0, low2, tiles);
 
     const raster::Image &ref = cache.reference(0);
     EXPECT_FLOAT_EQ(ref.band(0).at(0, 0), 0.9f); // updated tile
@@ -128,9 +128,7 @@ TEST(UplinkPlannerTest, InstallThenNoopThenDelta)
 {
     ReferenceStore ground(0.01);
     OnboardCache cache(16);
-    UplinkPlanner::Params pp;
-    pp.downsampleFactor = 16;
-    UplinkPlanner planner(pp);
+    UplinkPlanner planner;
     orbit::DailyByteBudget budget(1e9);
 
     // Nothing on the ground yet: no plan.
@@ -194,9 +192,7 @@ TEST(UplinkPlannerTest, CompressionRatioReflectsDownsampling)
     // codec-compressed upload should compress by far more than 16^2.
     ReferenceStore ground(0.01);
     OnboardCache cache(16);
-    UplinkPlanner::Params pp;
-    pp.downsampleFactor = 16;
-    UplinkPlanner planner(pp);
+    UplinkPlanner planner;
     orbit::DailyByteBudget budget(1e9);
     ASSERT_TRUE(ground.offer(texturedImage(0, 10.0, 3, 256, 4), 0.0));
     UplinkPlan p = planner.planUpdate(ground, cache, 0, budget);

@@ -157,6 +157,26 @@ TEST(Integration, GuaranteedDownloadsHappenMonthly)
     EXPECT_LT(s.fullDownloadCount, s.processedCount / 2 + 2);
 }
 
+TEST(Integration, RefDownsampleAloneSetsReferenceGeometry)
+{
+    // SystemParams::refDownsample is the one knob for the reference
+    // geometry: the uplink planner takes the downsampling factor and
+    // low-res tile size from the on-board cache it updates, so a
+    // non-default factor runs end to end and codes captures against
+    // a reference.
+    synth::DatasetSpec spec = smallPlanet(40.0);
+    SimParams params;
+    params.system.refDownsample = 8;
+    SimSummary s =
+        LocationSimulation(spec, 0, SystemKind::EarthPlus, params).run();
+    int referenceBased = 0;
+    for (const CaptureMetrics &c : s.captures)
+        if (!c.dropped && !c.fullDownload)
+            ++referenceBased;
+    EXPECT_GT(referenceBased, 0);
+    EXPECT_GT(s.totalUplinkBytes, 0.0);
+}
+
 TEST(Integration, RichContentDatasetRuns)
 {
     synth::DatasetSpec spec = smallSentinel(40.0);
@@ -250,9 +270,10 @@ struct GoldenRun
  * segment on (lossy downlink with ARQ, in-memory archive), which
  * exercises the commit path where references reach the store only
  * when their download completes. The digests pin every non-timing
- * output bit for bit; they were recorded before the four systems were
- * folded into one pipeline. Regenerate by running this binary with
- * EARTHPLUS_PRINT_GOLDEN=1 and pasting the printed rows.
+ * output bit for bit, so a refactor of the pipeline must leave them
+ * unchanged. Regenerate only for a deliberate output change, by
+ * running this binary with EARTHPLUS_PRINT_GOLDEN=1 and pasting the
+ * printed rows.
  */
 const GoldenRun kGoldenRuns[] = {
     {"Earth+", SystemKind::EarthPlus, false, 0x1D80305Cu},

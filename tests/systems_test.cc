@@ -75,7 +75,6 @@ TEST(EarthPlusSystemTest, BootstrapThenReferenceBasedEncoding)
     SystemsFixture f;
     ReferenceStore ground(0.01);
     UplinkPlanner::Params up;
-    up.downsampleFactor = 16;
     EarthPlusSystem sys(f.config.bands, f.params, up, ground);
     orbit::DailyByteBudget budget(1e12);
 
@@ -89,6 +88,7 @@ TEST(EarthPlusSystemTest, BootstrapThenReferenceBasedEncoding)
     EXPECT_GT(r1.downloadedTileFraction, 0.9);
     EXPECT_TRUE(std::isinf(r1.referenceAgeDays));
     EXPECT_GT(r1.psnr, 30.0);
+    EXPECT_EQ(r1.changeDetectSec, 0.0); // full download: nothing compared
     ASSERT_TRUE(ground.has(0)); // clear download became the reference
 
     // Next clear capture days later: reference-based encoding kicks in
@@ -104,6 +104,7 @@ TEST(EarthPlusSystemTest, BootstrapThenReferenceBasedEncoding)
     EXPECT_LT(r2.downlinkBytes, r1.downlinkBytes);
     EXPECT_NEAR(r2.referenceAgeDays, d2 - d1, 0.5);
     EXPECT_GT(r2.psnr, 30.0);
+    EXPECT_GT(r2.changeDetectSec, 0.0);
 }
 
 TEST(EarthPlusSystemTest, DropsOvercastCaptures)
@@ -127,7 +128,6 @@ TEST(EarthPlusSystemTest, GuaranteedDownloadAfterPeriod)
     f.params.guaranteedPeriodDays = 10.0;
     ReferenceStore ground(0.01);
     UplinkPlanner::Params up;
-    up.downsampleFactor = 16;
     EarthPlusSystem sys(f.config.bands, f.params, up, ground);
     orbit::DailyByteBudget budget(1e12);
 
@@ -156,7 +156,6 @@ TEST(EarthPlusSystemTest, PerSatelliteCachesAreIndependent)
     SystemsFixture f;
     ReferenceStore ground(0.01);
     UplinkPlanner::Params up;
-    up.downsampleFactor = 16;
     EarthPlusSystem sys(f.config.bands, f.params, up, ground);
     orbit::DailyByteBudget budget(1e12);
 
@@ -220,6 +219,8 @@ TEST(SatRoISystemTest, ReferenceStaysFixedAndAges)
     ASSERT_GE(d2, 0.0);
     ProcessResult r2 = sys.process(f.sim->capture(d2, 0));
     EXPECT_NEAR(r2.referenceAgeDays, d2 - d1, 0.5);
+    EXPECT_FALSE(r2.fullDownload);
+    EXPECT_GT(r2.changeDetectSec, 0.0);
 
     double d3 = f.clearDay(d2 + 5.0);
     if (d3 > 0 && d3 - d1 < f.params.guaranteedPeriodDays) {
@@ -253,6 +254,17 @@ TEST(DownloadAllSystemTest, AlwaysEverything)
     EXPECT_DOUBLE_EQ(r.downloadedTileFraction, 1.0);
     EXPECT_TRUE(r.fullDownload);
     EXPECT_GT(r.psnr, 35.0);
+    // No detector runs: nothing measured, nothing timed.
+    EXPECT_EQ(r.cloudDetectSec, 0.0);
+    EXPECT_EQ(r.measuredCloudCoverage, 0.0);
+    EXPECT_EQ(r.changeDetectSec, 0.0);
+
+    // So an overcast capture is downloaded whole as well.
+    double cloudy = f.cloudyDay(d + 1.0);
+    ASSERT_GE(cloudy, 0.0);
+    ProcessResult rc = sys.process(f.sim->capture(cloudy, 0));
+    EXPECT_FALSE(rc.dropped);
+    EXPECT_DOUBLE_EQ(rc.downloadedTileFraction, 1.0);
 }
 
 TEST(SystemsComparison, EarthPlusUsesLessDownlinkAtSimilarQuality)
@@ -262,7 +274,6 @@ TEST(SystemsComparison, EarthPlusUsesLessDownlinkAtSimilarQuality)
     SystemsFixture f;
     ReferenceStore ground(0.01);
     UplinkPlanner::Params up;
-    up.downsampleFactor = 16;
     EarthPlusSystem earthPlus(f.config.bands, f.params, up, ground);
     KodanSystem kodan(f.config.bands, f.params);
     orbit::DailyByteBudget budget(1e12);
